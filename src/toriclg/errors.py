@@ -65,7 +65,7 @@ class ComplexityLimit(DomainError):
 
 
 class InvalidChange(DomainError):
-    exit_code = 3
+    """A mutation step or trace that is malformed before anything is applied."""
 
 
 class NotFano(DomainError):

@@ -277,6 +277,9 @@ def monomial_substitute(p, matrix, shift=None, scales=None):
 # --- parsing ---------------------------------------------------------------
 
 _OPS = "+-*/^()"
+# each parenthesis level costs four parser frames; this stays well inside
+# Python's default recursion limit
+MAX_PAREN_DEPTH = 100
 
 
 def _tokenize(text):
@@ -314,6 +317,7 @@ class _Parser:
     def __init__(self, tokens, var_names):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.var_names = var_names
         self.var_index = {name: i for i, name in enumerate(var_names)}
 
@@ -378,8 +382,12 @@ class _Parser:
             self.take()
             return variable(self.var_names, self.var_index[tok[1]])
         if tok[0] == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok[2])
             self.take()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.take(")")
             return inner
         raise ParseError(f"expected a number, variable, or '(', found {tok[1] or 'end of input'!r}", tok[2])

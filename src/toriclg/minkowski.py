@@ -19,7 +19,6 @@ from .errors import ComplexityLimit, FaceMismatch, ShapeMismatch
 # faces of dimension 3 are never decomposed; on a four-dimensional Newton
 # polytope only the 2-skeleton is checked and the result says so
 PARTIAL_DIM = 4
-MAX_PRESENTED_DIM = 2
 
 
 @dataclass(frozen=True)

@@ -261,17 +261,23 @@ def steps_to_json(steps):
 
 
 def steps_from_json(data, var_names):
+    """Steps from their JSON form; InvalidChange when the trace is malformed."""
+    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
+        raise InvalidChange("a trace must be a JSON list of step objects")
     steps = []
-    for entry in data:
+    for idx, entry in enumerate(data):
         kind = entry.get("type")
-        if kind == "cluster":
-            factor = laurent.parse(entry["factor"], var_names)
-            steps.append(ClusterChange(int(entry["pivot"]), int(entry["sign"]), factor))
-        elif kind == "toric":
-            matrix = tuple(tuple(int(x) for x in row) for row in entry["A"])
-            shift = tuple(int(x) for x in entry.get("shift", (0,) * len(matrix)))
-            scale = tuple(Fraction(s) for s in entry.get("scale", (1,) * len(matrix)))
-            steps.append(ToricChange(matrix, shift, scale))
-        else:
-            raise InvalidChange("unknown step type %r" % kind)
+        try:
+            if kind == "cluster":
+                factor = laurent.parse(entry["factor"], var_names)
+                steps.append(ClusterChange(int(entry["pivot"]), int(entry["sign"]), factor))
+            elif kind == "toric":
+                matrix = tuple(tuple(int(x) for x in row) for row in entry["A"])
+                shift = tuple(int(x) for x in entry.get("shift", (0,) * len(matrix)))
+                scale = tuple(Fraction(s) for s in entry.get("scale", (1,) * len(matrix)))
+                steps.append(ToricChange(matrix, shift, scale))
+            else:
+                raise InvalidChange("unknown step type %r" % kind)
+        except (TypeError, ZeroDivisionError) as err:
+            raise InvalidChange("step %d is malformed: %s" % (idx, err)) from err
     return steps

@@ -1,15 +1,26 @@
 """Constant-term sequences of powers of a Laurent polynomial.
 
-period_sequence is the fast path: it accumulates powers incrementally and
-drops terms whose exponents are already too far out to be cancelled by the
-remaining multiplications. period_oracle is the same quantity by full
+period_sequence is the fast path. It accumulates the powers of f one
+multiplication at a time on plain ints, and it drops every term of the
+running power that the remaining multiplications can no longer bring back
+to the origin. period_oracle is the same quantity by full Fraction
 expansion, kept as an independent check.
+
+The prune polytope is Q = conv(supp(f) ∪ {0}). A term e of f^i can reach
+the constant term of f^j only if -e is a sum of j - i exponents of f, so
+only if -e lies in (j - i)·Q. Q holds the origin, hence k·Q ⊆ (k + 1)·Q,
+and one test against (N - i)·Q covers every a_j with i < j <= N: a term
+with -e outside it is useless for all of them. The Newton polytope of f
+has nested dilates only when it holds the origin, which is why the
+origin is added.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
 
-from . import laurent
+from . import laurent, polytope
 from .errors import ZeroPolynomial
 
 
@@ -30,43 +41,64 @@ def _check_nonzero(f):
         raise ZeroPolynomial("period sequence needs a nonzero polynomial")
 
 
+def _prune_cuts(f):
+    """Inequalities (a, b), meaning a·x <= b, that cut out the prune polytope.
+
+    With 1 to polytope.MAX_AMBIENT_DIM variables this is the facet list of
+    Q = conv(supp(f) ∪ {0}); each affine equality a·x = b of Q enters as the
+    pair a·x <= b, -a·x <= -b, so the cuts describe Q itself when it is
+    lower-dimensional. Otherwise the hull cannot be built, and the cuts are
+    the 2n faces of the box |x_k| <= max |s_k| over supp(f). The box also
+    holds supp(f) and the origin, so it prunes correctly, only less.
+    """
+    n = f.nvars
+    if 0 < n <= polytope.MAX_AMBIENT_DIM:
+        Q = polytope.convex_hull(list(f.terms) + [(0,) * n])
+        cuts = list(Q.facet_inequalities)
+        for a, b in Q.affine_equalities:
+            cuts += [(a, b), (tuple(-x for x in a), -b)]
+        return cuts
+    cuts = []
+    for k in range(n):
+        reach = max(abs(s[k]) for s in f.terms)
+        unit = tuple(int(j == k) for j in range(n))
+        cuts += [(unit, reach), (tuple(-x for x in unit), reach)]
+    return cuts
+
+
 def period_sequence(f, N, source_id=""):
     """a_0..a_N with a_i the constant term of f^i.
 
-    A term of the running power is kept only while each exponent entry can
-    still be brought back to zero by the remaining factors: entry e_c is
-    droppable once |e_c| exceeds (N - i) times the largest |s_c| over the
-    support of f. Dropped terms cannot contribute to any later constant
-    term, so the pruned and full computations agree.
+    The loop runs on g = L·f, where L is the lcm of the coefficient
+    denominators, so every coefficient is an int, and it returns
+    a_i = [g^i]_0 / L^i. After step i a term e of the running power is kept
+    only while -e lies in (N - i)·Q, one dot-product test per cut from
+    _prune_cuts: a·(-e) <= (N - i)·b. Dropped terms cannot contribute to
+    any later constant term, so the pruned and full computations agree.
     """
     _check_nonzero(f)
     if N < 0:
         raise ValueError("N must be nonnegative")
     n = f.nvars
-    reach = [max(abs(s[c]) for s in f.terms) for c in range(n)]
+    L = math.lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(s, int(c * L)) for s, c in f.terms.items()]
+    cuts = _prune_cuts(f)
+    origin = (0,) * n
     values = [Fraction(1)]
-    power = {(0,) * n: Fraction(1)}
+    power = {origin: 1}
     for i in range(1, N + 1):
         produced = {}
         for e, c in power.items():
-            for s, d in f.terms.items():
-                key = tuple(a + b for a, b in zip(e, s))
-                coeff = produced.get(key)
-                if coeff is None:
-                    produced[key] = c * d
-                else:
-                    coeff = coeff + c * d
-                    if coeff:
-                        produced[key] = coeff
-                    else:
-                        del produced[key]
+            for s, d in terms:
+                key = tuple(map(add, e, s))
+                produced[key] = produced.get(key, 0) + c * d
         remaining = N - i
         power = {
             e: c
             for e, c in produced.items()
-            if all(abs(e[k]) <= remaining * reach[k] for k in range(n))
+            if c and all(sum(map(mul, a, e)) + remaining * b >= 0 for a, b in cuts)
         }
-        values.append(produced.get((0,) * n, Fraction(0)))
+        values.append(Fraction(produced.get(origin, 0), L**i))
     return PeriodSequence(tuple(values), source_id)
 
 

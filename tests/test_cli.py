@@ -160,6 +160,23 @@ def test_mutate_failure_exits_3(tmp_path, capsys):
     assert any("step" in line for line in doc["diagnostics"])
 
 
+@pytest.mark.parametrize(
+    "trace",
+    [
+        {"a": 1},
+        [1, 2],
+        [{"type": "toric", "A": [[1, 0], [0, 1]], "scale": ["1/0", "1"]}],
+    ],
+)
+def test_mutate_malformed_trace_is_invalid_change(tmp_path, capsys, trace):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(trace))
+    code, doc = run_cli(["mutate", "x+y+1/(x*y)", "--trace", str(path)], capsys)
+    assert code == 2
+    assert doc["status"] == "fail"
+    assert doc["payload"]["error"] == "InvalidChange"
+
+
 def test_iv_mutate_with_expected_polytope(tmp_path, capsys):
     data = {
         "polytope": {"dim": 2, "vertices": [[-1, 2], [1, 2], [0, -1]]},
@@ -277,3 +294,11 @@ def test_parse_error_reports_position(capsys):
     assert code == 2
     assert doc["status"] == "fail"
     assert any("position" in line or "&" in line for line in doc["diagnostics"])
+
+
+def test_deeply_nested_parentheses_are_a_parse_error(capsys):
+    depth = 3000
+    code, doc = run_cli(["period", "(" * depth + "x" + ")" * depth], capsys)
+    assert code == 2
+    assert doc["payload"]["error"] == "ParseError"
+    assert "position 100" in doc["payload"]["message"]

@@ -225,3 +225,11 @@ def test_operator_sugar():
     assert (x**2 - y**2) / (x + y) == x - y
     assert -(x - y) == y - x
     assert (x + 1) * (x + 1) == laurent.parse("x^2+2*x+1", ("x", "y"))
+
+
+def test_paren_depth_cap():
+    k = laurent.MAX_PAREN_DEPTH
+    assert laurent.parse("(" * k + "x+1" + ")" * k) == laurent.parse("x+1")
+    with pytest.raises(ParseError) as err:
+        laurent.parse("2*" + "(" * (k + 1) + "x" + ")" * (k + 1))
+    assert err.value.position == 2 + k

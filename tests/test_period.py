@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_nonzero_poly
-from toriclg import intlinalg, laurent, period
+from toriclg import intlinalg, laurent, period, polytope
 from toriclg.errors import ZeroPolynomial
 
 
@@ -103,3 +103,56 @@ def test_rational_coefficients_stay_exact():
     seq = period.period_sequence(f, 4)
     assert seq[2] == 2 * Fraction(1, 2) * 2 + 2 * 1
     assert seq.values == period.period_oracle(f, 4).values
+
+
+def assert_matches_oracle(f, N):
+    assert period.period_sequence(f, N).values == period.period_oracle(f, N).values
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x + x^2*y", "x*y + x^2 + x^3/y", "2*x + 3*y + x*y", "x + 1/x + y", "1 + x + x*y - 2*y^2"],
+)
+def test_prune_when_newton_polytope_misses_or_touches_origin(text):
+    assert_matches_oracle(laurent.parse(text), 9)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("x*z + y/z + 1/(x*y)", ("x", "y", "z")),
+        ("x + y + 1/(x*y)", ("x", "y", "z")),
+        ("x*y*z + 2/(x*y*z) - 3", ("x", "y", "z")),
+        ("x + y", ("x", "y", "z")),
+        ("x*w + y + 1/(x*y*w)", ("x", "y", "z", "w")),
+        ("x*z*w + y/w + 1/(x*y) + z + 1/z", ("x", "y", "z", "w")),
+    ],
+)
+def test_prune_on_lower_dimensional_supports(text, names):
+    f = laurent.parse(text, names)
+    hull = polytope.convex_hull(list(f.terms) + [(0,) * f.nvars])
+    assert hull.affine_equalities
+    assert_matches_oracle(f, 9)
+
+
+def test_prune_with_mixed_denominators():
+    f = laurent.LaurentPoly(
+        ("x", "y"),
+        {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3), (-1, -1): Fraction(5, 6), (0, 0): Fraction(-7, 4), (2, 1): Fraction(3, 10)},
+    )
+    assert_matches_oracle(f, 8)
+
+
+def test_constant_without_variables():
+    for c in (Fraction(5), Fraction(-3, 2)):
+        f = laurent.LaurentPoly((), {(): c})
+        assert period.period_sequence(f, 5).values == tuple(c**i for i in range(6))
+        assert_matches_oracle(f, 5)
+
+
+def test_box_fallback_beyond_hull_dimension():
+    names = ("a", "b", "c", "d", "e", "g", "h")
+    f = laurent.parse("a*b + b*c^2 + c + d/e + e*g + g*h + h + 1/(a*b*c*d*g*h) + a + 1/a - 2", names)
+    assert f.nvars > polytope.MAX_AMBIENT_DIM
+    assert len(period._prune_cuts(f)) == 2 * f.nvars
+    assert_matches_oracle(f, 6)
