@@ -38,16 +38,14 @@ class MinkowskiPresentation:
     def __post_init__(self):
         fixed = []
         for key, summands in self.assignments:
-            key = tuple(sorted(tuple(v) for v in key))
+            key = _face_key(key)
             summands = tuple(sorted(summands, key=lambda Q: Q.vertices))
             fixed.append((key, summands))
         object.__setattr__(self, "assignments", tuple(sorted(fixed)))
-        object.__setattr__(
-            self, "skipped", tuple(sorted(tuple(sorted(tuple(v) for v in key)) for key in self.skipped))
-        )
+        object.__setattr__(self, "skipped", tuple(sorted(_face_key(key) for key in self.skipped)))
 
     def summands_for(self, face_key):
-        key = tuple(sorted(tuple(v) for v in face_key))
+        key = _face_key(face_key)
         for stored, summands in self.assignments:
             if stored == key:
                 return summands
@@ -62,7 +60,10 @@ def _face_key(face_vertices):
 
 
 def _canonical_polytope(Q):
-    """Translate so the lexicographically least vertex is the origin."""
+    """Translate so the lexicographically least vertex, vertices[0], is the
+    origin; Q itself when it already is."""
+    if not any(Q.vertices[0]):
+        return Q
     return polytope.convex_hull(list(polytope.canonical_form(Q)))
 
 
@@ -73,6 +74,11 @@ def face_restriction(f, face):
     wanted = _face_key(face.vertices)
     if not any(_face_key(F.vertices) == wanted for F in polytope.faces(P, face.dim)):
         raise FaceMismatch("not a face of the Newton polytope")
+    return _restrict(f, P, face)
+
+
+def _restrict(f, P, face):
+    """face_restriction for a face known to be a face of P = Delta_f."""
     defining = [
         (normal, offset)
         for normal, offset in P.facet_inequalities
@@ -133,16 +139,14 @@ def _presented_faces(P):
     return covered, list(skipped)
 
 
-def _summand_decompositions(hull):
-    """Candidate irreducible-summand decompositions of an edge or polygon."""
-    return polytope.polygon_minkowski_decompositions(hull)
-
-
 def _is_irreducible(Q):
-    if Q.dim_affine == 0:
-        return False
-    decs = polytope.polygon_minkowski_decompositions(Q)
-    return len(decs) == 1 and len(decs[0]) == 1
+    """A unit segment, or a polygon whose primitive edge slots have no
+    proper zero-sum subset: what polygon_minkowski_decompositions keeps whole."""
+    if Q.dim_affine < 2:
+        # lattice length of a segment; gcd 0 for a point
+        return math.gcd(*(y - x for x, y in zip(Q.vertices[0], Q.vertices[-1]))) == 1
+    slots, _basis2 = polytope._polygon_edge_slots(Q)
+    return polytope._is_minimal_zero_sum(slots)
 
 
 def _match_factors(target, summands):
@@ -219,17 +223,16 @@ def _match_factors(target, summands):
     ]
 
 
-def _shifted_restriction(f, face):
+def _shifted_restriction(f, P, face):
     """Face restriction translated so the least face vertex maps to 0."""
-    g = face_restriction(f, face)
+    g = _restrict(f, P, face)
     m = min(face.vertices)
     shift = laurent.monomial(f.var_names, tuple(-x for x in m))
     return laurent.mul(g, shift)
 
 
-def _check_face(f, face, summands):
-    """(ok, detail) for one presented face against its summand list."""
-    hull = polytope.convex_hull(list(face.vertices))
+def _check_face(f, P, face, hull, summands):
+    """(ok, detail) for one face of P = Delta_f, with its hull, against its summands."""
     if not summands:
         return False, "no summands assigned"
     canon = []
@@ -245,27 +248,26 @@ def _check_face(f, face, summands):
         total = polytope.minkowski_sum(total, Q)
     if polytope.canonical_form(total) != polytope.canonical_form(hull):
         return False, "summands do not add up to the face"
-    target = _shifted_restriction(f, face)
+    target = _shifted_restriction(f, P, face)
     factors = _match_factors(target, canon)
     if factors is None:
         return False, "no factorization with unit vertex coefficients"
     return True, "product of %d factors matches" % len(canon)
 
 
-def _restriction_compatible(pres, face_lookup):
+def _restriction_compatible(pres, hulls):
     """Summands of a 2-face must cut down to a sum giving each of its edges."""
     for key, summands in pres.assignments:
-        face = face_lookup[key]
-        if face.dim != 2:
+        hull = hulls[key]
+        if hull.dim_affine != 2:
             continue
-        hull = polytope.convex_hull(list(face.vertices))
         for edge in polytope.faces(hull, 1):
             normals = set(polytope.tight_normals(hull, edge.vertices[0]))
             normals &= set(polytope.tight_normals(hull, edge.vertices[1]))
             w = tuple(sum(xs) for xs in zip(*normals))
             pieces = []
             for Q in summands:
-                _, tops = polytope.supporting_vertices(_canonical_polytope(Q), w)
+                _, tops = polytope.supporting_vertices(Q, w)
                 pieces.append(polytope.convex_hull(list(tops)))
             total = pieces[0]
             for piece in pieces[1:]:
@@ -294,6 +296,7 @@ def verify_presentation(f, pres):
         raise ShapeMismatch("three-dimensional faces must be listed as skipped")
     if skippable_keys and not pres.partial:
         raise ShapeMismatch("a presentation skipping faces must be marked partial")
+    hulls = {key: polytope.convex_hull(list(face.vertices)) for key, face in required.items()}
     report = []
     ok = True
     for v_idx, vert in enumerate(P.vertices):
@@ -310,11 +313,11 @@ def verify_presentation(f, pres):
         )
     for key in sorted(required):
         face = required[key]
-        good, detail = _check_face(f, face, pres.summands_for(key))
+        good, detail = _check_face(f, P, face, hulls[key], pres.summands_for(key))
         ok = ok and good
         report.append({"face": key, "dim": face.dim, "status": "ok" if good else "failed", "detail": detail})
     if ok:
-        clash = _restriction_compatible(pres, required)
+        clash = _restriction_compatible(pres, hulls)
         if clash is not None:
             ok = False
             report.append(
@@ -348,15 +351,12 @@ def find_presentation(f):
     assignments = []
     for face in sorted(covered, key=lambda F: (F.dim, _face_key(F.vertices))):
         hull = polytope.convex_hull(list(face.vertices))
-        chosen = None
-        for candidate in _summand_decompositions(hull):
-            good, _detail = _check_face(f, face, tuple(candidate))
-            if good:
-                chosen = tuple(candidate)
+        for candidate in polytope.polygon_minkowski_decompositions(hull):
+            if _check_face(f, P, face, hull, tuple(candidate))[0]:
                 break
-        if chosen is None:
+        else:
             return None
-        assignments.append((_face_key(face.vertices), chosen))
+        assignments.append((_face_key(face.vertices), tuple(candidate)))
     return MinkowskiPresentation(
         assignments=tuple(assignments),
         partial=bool(skippable),

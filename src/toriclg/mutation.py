@@ -278,6 +278,6 @@ def steps_from_json(data, var_names):
                 steps.append(ToricChange(matrix, shift, scale))
             else:
                 raise InvalidChange("unknown step type %r" % kind)
-        except (TypeError, ZeroDivisionError) as err:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
             raise InvalidChange("step %d is malformed: %s" % (idx, err)) from err
     return steps

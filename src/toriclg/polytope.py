@@ -480,7 +480,8 @@ def lattice_points(P):
     return points
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long-lived process does not keep every polytope it has seen
+@lru_cache(maxsize=128)
 def _face_sets(P):
     """All nonempty faces as frozensets of vertex indices, mapped to their dims."""
     verts = P.vertices
@@ -565,12 +566,6 @@ def is_primitive(P):
     return True
 
 
-def _polygon_cycle(coords):
-    """CCW vertex cycle of a full-rank 2D point set."""
-    cycle, _facets = _hull_2d(coords)
-    return [coords[i] for i in cycle]
-
-
 def _angle_key_pairs(vectors):
     def cmp(u, v):
         hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
@@ -642,6 +637,31 @@ def _summand_from_part(part, basis2, ambient_dim):
     return convex_hull([_vec_sub(p, base) for p in ambient])
 
 
+def _polygon_edge_slots(P):
+    """(slots, basis2): the polygon's primitive edge vectors, one per lattice
+    step around its boundary, sorted, in the lattice basis basis2 of its
+    plane.  ComplexityLimit above MAX_EDGE_SLOTS slots."""
+    if P.dim_affine != 2:
+        raise NotTwoDimensional("expected a polygon")
+    n = P.dim_ambient
+    base = P.vertices[0]
+    diffs = [_vec_sub(v, base) for v in P.vertices]
+    basis2 = intlinalg.saturation_basis([list(v) for v in diffs])
+    coords = []
+    for diff in diffs:
+        sol = intlinalg.solve([[basis2[j][i] for j in range(2)] for i in range(n)], list(diff))
+        coords.append((int(sol[0]), int(sol[1])))
+    cycle = [coords[i] for i in _hull_2d(coords)[0]]
+    slots = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        g = math.gcd(abs(ex), abs(ey))
+        slots.extend([(ex // g, ey // g)] * g)
+    if len(slots) > MAX_EDGE_SLOTS:
+        raise ComplexityLimit("polygon has more than %d primitive edge slots" % MAX_EDGE_SLOTS)
+    return tuple(sorted(slots)), basis2
+
+
 def polygon_minkowski_decompositions(P):
     """Every way to write the polygon as a Minkowski sum of irreducible
     lattice polygons and segments, up to translating the summands.
@@ -655,31 +675,11 @@ def polygon_minkowski_decompositions(P):
     if P.dim_affine == 1:
         a, b = P.vertices
         direction = [int(x) for x in _vec_sub(b, a)]
-        g = 0
-        for x in direction:
-            g = math.gcd(g, abs(x))
+        g = math.gcd(*direction)
         unit = convex_hull([(0,) * n, tuple(x // g for x in direction)])
         return [tuple([unit] * g)]
 
-    base = P.vertices[0]
-    diffs = [_vec_sub(v, base) for v in P.vertices]
-    basis2 = intlinalg.saturation_basis([list(v) for v in diffs])
-    coords = []
-    for v in P.vertices:
-        rhs = list(_vec_sub(v, base))
-        sol = intlinalg.solve([[basis2[j][i] for j in range(2)] for i in range(n)], rhs)
-        coords.append((int(sol[0]), int(sol[1])))
-    cycle = _polygon_cycle(coords)
-    slots = []
-    for k in range(len(cycle)):
-        a = cycle[k]
-        b = cycle[(k + 1) % len(cycle)]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        g = math.gcd(abs(ex), abs(ey))
-        slots.extend([(ex // g, ey // g)] * g)
-    if len(slots) > MAX_EDGE_SLOTS:
-        raise ComplexityLimit("polygon has more than %d primitive edge slots" % MAX_EDGE_SLOTS)
-    slots = tuple(sorted(slots))
+    slots, basis2 = _polygon_edge_slots(P)
     decompositions = set()
     for partition in _partitions_into_minimal(slots):
         summands = tuple(

@@ -166,6 +166,9 @@ def test_mutate_failure_exits_3(tmp_path, capsys):
         {"a": 1},
         [1, 2],
         [{"type": "toric", "A": [[1, 0], [0, 1]], "scale": ["1/0", "1"]}],
+        [{"type": "cluster", "sign": 1, "factor": "y"}],
+        [{"type": "cluster", "pivot": "abc", "sign": 1, "factor": "y"}],
+        [{"type": "toric", "shift": [0, 0]}],
     ],
 )
 def test_mutate_malformed_trace_is_invalid_change(tmp_path, capsys, trace):

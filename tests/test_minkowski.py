@@ -1,9 +1,11 @@
 """Face restrictions, edge binomial checks, and presentation search."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toriclg import constructions, laurent, minkowski, polytope
-from toriclg.errors import FaceMismatch, ShapeMismatch
+from toriclg.errors import ComplexityLimit, FaceMismatch, ShapeMismatch
 from toriclg.polytope import Face
 
 V3 = ("x", "y", "z")
@@ -30,6 +32,16 @@ def test_face_restriction_examples():
     fake = Face(dim=1, vertex_indices=(0, 1), vertices=((5, 5, 5), (6, 6, 6)), lattice_points=())
     with pytest.raises(FaceMismatch):
         minkowski.face_restriction(f, fake)
+
+
+def test_internal_restriction_matches_public_face_restriction():
+    for name, f in sorted(constructions.catalog().items()):
+        if len(f.var_names) != 3:
+            continue
+        P = polytope.newton_polytope(f)
+        for d in (1, 2):
+            for F in polytope.faces(P, d):
+                assert minkowski._restrict(f, P, F) == minkowski.face_restriction(f, F), (name, F.vertices)
 
 
 def test_face_restriction_commutes_with_substitution():
@@ -103,6 +115,100 @@ def test_verify_rejects_single_long_segment():
     failing = [e for e in report if e["face"] == tuple(sorted(LONG_EDGE))]
     assert failing and failing[0]["status"] == "failed"
     assert "irreducible" in failing[0]["detail"]
+
+
+def test_verify_rejects_reducible_polygon_summand():
+    f = constructions.catalog()["quadric3.f0"]
+    pres = minkowski.find_presentation(f)
+    key = next(key for key, _s in pres.assignments if len(key) > 2)
+    square = polytope.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    tampered = tuple((k, (square,) if k == key else s) for k, s in pres.assignments)
+    ok, report = minkowski.verify_presentation(f, minkowski.MinkowskiPresentation(assignments=tampered))
+    assert not ok
+    (entry,) = [e for e in report if e["face"] == key]
+    assert entry["dim"] == 2 and entry["status"] == "failed"
+    assert "irreducible" in entry["detail"]
+
+
+def _irreducible_by_decomposition(Q):
+    decs = polytope.polygon_minkowski_decompositions(Q)
+    return len(decs) == 1 and len(decs[0]) == 1
+
+
+def _outcome(check, Q):
+    try:
+        return check(Q)
+    except ComplexityLimit:
+        return "limit"
+
+
+@st.composite
+def plane_polytopes(draw):
+    """Hull of 2-5 lattice points of the plane, left in Z^2 or mapped into
+    Z^3 by an injective integer affine map; segments and polygons only."""
+    pts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=5, unique=True))
+    if draw(st.booleans()):
+        vec = st.tuples(*[st.integers(-2, 2)] * 3)
+        u, v, base = draw(vec), draw(vec), draw(vec)
+        cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if cross == (0, 0, 0):
+            u, v = (1, 0, 0), (0, 1, 0)
+        pts = [tuple(b + a * x + c * y for b, x, y in zip(base, u, v)) for a, c in pts]
+    return polytope.convex_hull(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_polytopes())
+def test_slot_irreducibility_matches_decompositions(Q):
+    assert Q.dim_affine in (1, 2)
+    assert _outcome(minkowski._is_irreducible, Q) == _outcome(_irreducible_by_decomposition, Q)
+
+
+def test_slot_irreducibility_examples():
+    unit_triangle = polytope.convex_hull([(0, 0), (1, 0), (0, 1)])
+    assert minkowski._is_irreducible(unit_triangle)
+    assert not minkowski._is_irreducible(polytope.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    assert minkowski._is_irreducible(polytope.convex_hull([(0, 0, 0), (1, 2, 3)]))
+    assert not minkowski._is_irreducible(polytope.convex_hull([(0, 0, 0), (2, 2, 0)]))
+    # side 5 gives 15 slots, above MAX_EDGE_SLOTS = 12, on both paths
+    big = polytope.convex_hull([(0, 0), (5, 0), (0, 5)])
+    assert _outcome(minkowski._is_irreducible, big) == _outcome(_irreducible_by_decomposition, big) == "limit"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6),
+            st.tuples(*[st.integers(-4, 4)] * n),
+            st.booleans(),
+        )
+    )
+)
+def test_canonical_polytope_matches_rehull(data):
+    pts, shift, at_origin = data
+    if at_origin:
+        shift = tuple(-x for x in min(pts))
+    Q = polytope.convex_hull([tuple(x + t for x, t in zip(p, shift)) for p in pts])
+    assert minkowski._canonical_polytope(Q) == polytope.convex_hull(list(polytope.canonical_form(Q)))
+
+
+@pytest.mark.parametrize("name", ["quadric3.f0", "cubic4.f00"])
+def test_one_newton_polytope_per_search_and_per_check(name, monkeypatch):
+    f = constructions.catalog()[name]
+    calls = []
+    build = polytope.newton_polytope
+
+    def counting(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(polytope, "newton_polytope", counting)
+    pres = minkowski.find_presentation(f)
+    assert pres is not None and pres.partial == (name == "cubic4.f00")
+    assert len(calls) == 1
+    assert minkowski.verify_presentation(f, pres)[0]
+    assert len(calls) == 2
 
 
 def test_verify_rejects_non_binomial_coefficients():
