@@ -117,8 +117,7 @@ def cmd_mutate(args):
     f = _poly(args.poly)
     data = json.loads(_read_file(args.trace))
     steps = mutation.steps_from_json(data, f.var_names)
-    trace = mutation.make_trace(f, steps)
-    stages = mutation.replay_intermediates(trace)
+    stages = mutation.apply_steps(f, steps)
     agree = period.period_sequence(stages[0], PERIOD_DEPTH).values == period.period_sequence(
         stages[-1], PERIOD_DEPTH
     ).values

@@ -2,15 +2,17 @@
 
 All matrices are sequences of row sequences; nothing here is sized for
 large inputs (ambient dimensions stay below 10 throughout the package),
-so the implementations favor exactness and clarity: fraction-pivot
-Gaussian elimination, textbook Smith normal form, and a small Bland-rule
-simplex for feasibility questions.
+so the implementations favor exactness and clarity.  There are three
+eliminations: `rref`, the one exact reduced row echelon form over Q from
+which determinants, inverses, solutions, ranks and rational kernels are
+read; a textbook Smith normal form over Z; and a small Bland-rule simplex
+for feasibility questions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity(n):
@@ -33,44 +35,64 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def det(A):
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    result = Fraction(1)
+def rref(A):
+    """Reduced row echelon form of A over Q: (rows, pivot_cols, det).
+
+    rows are the nonzero rows of the form, as Fraction lists; row i has its
+    leading 1 in column pivot_cols[i].  det is the determinant of A when A
+    is square, 0 otherwise.  Every other elimination over Q in the package
+    is read off this one.
+
+    The work is fraction-free: rows are scaled to integers, and each step
+    keeps every row an integer multiple, by the current pivot minor, of the
+    rational reduced row (Bareiss), so the divisions below are exact.
+    """
+    M = []
+    scale = 1
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    m = len(M)
+    n = len(M[0]) if m else 0
+    pivot_cols = []
+    sign = pivot = 1
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if M[i][c] != 0), None)
+        r = len(pivot_cols)
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if M[i][c] != 0), None)
         if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            M[c], M[pivot_row] = M[pivot_row], M[c]
+            continue
+        if pivot_row != r:
+            M[r], M[pivot_row] = M[pivot_row], M[r]
             sign = -sign
-        pivot = M[c][c]
-        result *= pivot
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                factor = M[i][c] / pivot
-                M[i] = [x - factor * y for x, y in zip(M[i], M[c])]
-    return sign * result
+        top = M[r]
+        new = top[c]
+        for i in range(m):
+            if i != r:
+                q = M[i][c]
+                M[i] = [(new * x - q * y) // pivot for x, y in zip(M[i], top)]
+        pivot = new
+        pivot_cols.append(c)
+    r = len(pivot_cols)
+    rows = [[Fraction(x, pivot) for x in M[i]] for i in range(r)]
+    det = Fraction(sign * pivot, scale) if r == m == n else Fraction(0)
+    return rows, pivot_cols, det
+
+
+def det(A):
+    """Exact determinant of a square matrix, as a Fraction."""
+    return rref(A)[2]
 
 
 def matrix_inverse(A):
     """Inverse with Fraction entries; ValueError if singular."""
     n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        M[c], M[pivot_row] = M[pivot_row], M[c]
-        pivot = M[c][c]
-        M[c] = [x / pivot for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                factor = M[i][c]
-                M[i] = [x - factor * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
+    rows, pivot_cols, _ = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
+    if pivot_cols[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in rows]
 
 
 def integer_inverse(A):
@@ -86,55 +108,34 @@ def integer_inverse(A):
 
 def solve(A, b):
     """One exact solution of A x = b (free variables set to 0), or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pivot = M[r][c]
-        M[r] = [x / pivot for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                factor = M[i][c]
-                M[i] = [x - factor * y for x, y in zip(M[i], M[r])]
-        pivot_cols.append(c)
-        r += 1
-    if any(M[i][n] != 0 for i in range(r, m)):
+    n = len(A[0]) if A else 0
+    rows, pivot_cols, _ = rref([list(row) + [x] for row, x in zip(A, b)])
+    if n in pivot_cols:
         return None
     x = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        x[c] = M[i][n]
+    for row, c in zip(rows, pivot_cols):
+        x[c] = row[n]
     return tuple(x)
 
 
 def rank(A):
-    m = len(A)
-    if m == 0:
-        return 0
-    n = len(A[0])
-    M = [[Fraction(x) for x in row] for row in A]
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if pivot_row is None:
+    return len(rref(A)[1])
+
+
+def rational_kernel_basis(A, n):
+    """Basis of {x in Q^n : A x = 0}, one vector per free column of the
+    reduced form (1 there, 0 at the other free columns); A may have no rows."""
+    rows, pivot_cols, _ = rref(A)
+    basis = []
+    for fc in range(n):
+        if fc in pivot_cols:
             continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pivot = M[r][c]
-        for i in range(r + 1, m):
-            if M[i][c] != 0:
-                factor = M[i][c] / pivot
-                M[i] = [x - factor * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rows, pivot_cols):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def smith_normal_form(A):

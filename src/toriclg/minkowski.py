@@ -255,28 +255,6 @@ def _check_face(f, P, face, hull, summands):
     return True, "product of %d factors matches" % len(canon)
 
 
-def _restriction_compatible(pres, hulls):
-    """Summands of a 2-face must cut down to a sum giving each of its edges."""
-    for key, summands in pres.assignments:
-        hull = hulls[key]
-        if hull.dim_affine != 2:
-            continue
-        for edge in polytope.faces(hull, 1):
-            normals = set(polytope.tight_normals(hull, edge.vertices[0]))
-            normals &= set(polytope.tight_normals(hull, edge.vertices[1]))
-            w = tuple(sum(xs) for xs in zip(*normals))
-            pieces = []
-            for Q in summands:
-                _, tops = polytope.supporting_vertices(Q, w)
-                pieces.append(polytope.convex_hull(list(tops)))
-            total = pieces[0]
-            for piece in pieces[1:]:
-                total = polytope.minkowski_sum(total, piece)
-            if polytope.canonical_form(total) != polytope.canonical_form(polytope.convex_hull(list(edge.vertices))):
-                return key, _face_key(edge.vertices)
-    return None
-
-
 def verify_presentation(f, pres):
     """Check a presentation face by face.  Returns (ok, report) where the
     report lists one entry per face, vertex coefficient checks included.
@@ -296,7 +274,6 @@ def verify_presentation(f, pres):
         raise ShapeMismatch("three-dimensional faces must be listed as skipped")
     if skippable_keys and not pres.partial:
         raise ShapeMismatch("a presentation skipping faces must be marked partial")
-    hulls = {key: polytope.convex_hull(list(face.vertices)) for key, face in required.items()}
     report = []
     ok = True
     for v_idx, vert in enumerate(P.vertices):
@@ -313,21 +290,10 @@ def verify_presentation(f, pres):
         )
     for key in sorted(required):
         face = required[key]
-        good, detail = _check_face(f, P, face, hulls[key], pres.summands_for(key))
+        hull = polytope.convex_hull(list(face.vertices))
+        good, detail = _check_face(f, P, face, hull, pres.summands_for(key))
         ok = ok and good
         report.append({"face": key, "dim": face.dim, "status": "ok" if good else "failed", "detail": detail})
-    if ok:
-        clash = _restriction_compatible(pres, hulls)
-        if clash is not None:
-            ok = False
-            report.append(
-                {
-                    "face": clash[0],
-                    "dim": 2,
-                    "status": "failed",
-                    "detail": "summands restrict badly to edge %s" % (clash[1],),
-                }
-            )
     for key in pres.skipped:
         report.append({"face": key, "dim": 3, "status": "skipped", "detail": "not decomposed"})
     return ok, tuple(report)

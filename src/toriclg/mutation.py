@@ -124,36 +124,31 @@ def apply_step(f, step):
     raise InvalidChange("unknown step type %r" % type(step).__name__)
 
 
-def make_trace(start, steps):
-    current = start
+def apply_steps(start, steps):
+    """Every stage of applying the steps in turn to start, the start
+    included; a step leaving the Laurent ring raises NotLaurent naming it."""
+    stages = [start]
     for idx, step in enumerate(steps):
-        try:
-            current = apply_step(current, step)
-        except NotLaurent as err:
-            raise NotLaurent("step %d failed: %s" % (idx, err)) from err
-    return MutationTrace(start, tuple(steps), current)
-
-
-def replay(trace):
-    """Recompute the end polynomial from the recorded start and steps."""
-    current = trace.start
-    for idx, step in enumerate(trace.steps):
-        try:
-            current = apply_step(current, step)
-        except NotLaurent as err:
-            raise NotLaurent("step %d failed: %s" % (idx, err)) from err
-    return current
-
-
-def replay_intermediates(trace):
-    """Every stage of the replay, the start included."""
-    stages = [trace.start]
-    for idx, step in enumerate(trace.steps):
         try:
             stages.append(apply_step(stages[-1], step))
         except NotLaurent as err:
             raise NotLaurent("step %d failed: %s" % (idx, err)) from err
     return stages
+
+
+def make_trace(start, steps):
+    steps = tuple(steps)
+    return MutationTrace(start, steps, apply_steps(start, steps)[-1])
+
+
+def replay(trace):
+    """Recompute the end polynomial from the recorded start and steps."""
+    return apply_steps(trace.start, trace.steps)[-1]
+
+
+def replay_intermediates(trace):
+    """Every stage of the replay, the start included."""
+    return apply_steps(trace.start, trace.steps)
 
 
 def _solve_scales(f, g, A, t):

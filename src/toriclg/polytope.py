@@ -60,7 +60,6 @@ class Face:
     dim: int
     vertex_indices: tuple
     vertices: tuple
-    lattice_points: tuple
 
 
 def _dot(u, v):
@@ -83,45 +82,12 @@ def _affine_rank(points):
     return intlinalg.rank(rows)
 
 
-def _kernel_frac(rows, n):
-    """Basis of the right kernel of a list of length-n Fraction rows."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -mat[row_idx][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def _hyperplane(coords, idxs, d):
     """Primitive integer normal and offset of the hyperplane through the
     given d affinely independent coordinate points, or None if degenerate."""
     base = coords[idxs[0]]
     rows = [_vec_sub(coords[i], base) for i in idxs[1:]]
-    kernel = _kernel_frac(rows, d)
+    kernel = intlinalg.rational_kernel_basis(rows, d)
     if len(kernel) != 1:
         return None
     normal = intlinalg.rational_ray_to_primitive(kernel[0])
@@ -130,33 +96,17 @@ def _hyperplane(coords, idxs, d):
 
 def _affine_data(points):
     """Base point, independent difference basis, affine coordinates of all
-    points, and the indices whose differences form the basis."""
+    points, and the indices whose differences form the basis.
+
+    All four come from one reduced form of the matrix whose column j is
+    points[j] - points[0]: its pivot columns are the points independent of
+    the ones before them, and its column j holds point j's coordinates in
+    the differences of those points."""
     base = points[0]
-    basis = []
-    echelon = []
-    basis_idx = []
-    n = len(base)
-    for idx, p in enumerate(points[1:], start=1):
-        v = [Fraction(x) for x in _vec_sub(p, base)]
-        residue = list(v)
-        for row in echelon:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if residue[lead] != 0:
-                factor = residue[lead] / row[lead]
-                residue = [a - factor * b for a, b in zip(residue, row)]
-        if any(x != 0 for x in residue):
-            basis.append(tuple(v))
-            echelon.append(residue)
-            basis_idx.append(idx)
-    d = len(basis)
-    coords = []
-    for p in points:
-        if d == 0:
-            coords.append(())
-            continue
-        rhs = list(_vec_sub(p, base))
-        solution = intlinalg.solve([[basis[j][i] for j in range(d)] for i in range(n)], rhs)
-        coords.append(tuple(Fraction(x) for x in solution))
+    diffs = [_vec_sub(p, base) for p in points]
+    rows, basis_idx, _ = intlinalg.rref(intlinalg.transpose(diffs))
+    basis = [diffs[i] for i in basis_idx]
+    coords = [tuple(row[j] for row in rows) for j in range(len(points))]
     return base, basis, coords, basis_idx
 
 
@@ -198,7 +148,10 @@ def _hull_2d(coords):
 
 def _hull_incremental(coords, d, init_idx):
     """Beneath-beyond over Fractions; returns simplex facets
-    (normal, offset, frozenset of point indices) triangulating the boundary."""
+    (normal, offset, frozenset of point indices) triangulating the boundary.
+
+    init_idx must index d + 1 affinely independent points.  The
+    ArithmeticErrors below mark broken invariants, not hard inputs."""
     centroid = tuple(sum(coords[i][k] for i in init_idx) / len(init_idx) for k in range(d))
     facets = []
     for omit in init_idx:
@@ -244,31 +197,6 @@ def _hull_incremental(coords, d, init_idx):
     return facets
 
 
-def _simplicial_closed(facets, d):
-    ridge_count = {}
-    for _n, _b, verts in facets:
-        for ridge in combinations(sorted(verts), d - 1):
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-    return all(count == 2 for count in ridge_count.values())
-
-
-def _hull_brute(coords, d):
-    """Fallback: supporting hyperplanes found by exhaustive point subsets."""
-    m = len(coords)
-    found = {}
-    for idxs in combinations(range(m), d):
-        plane = _hyperplane(coords, list(idxs), d)
-        if plane is None:
-            continue
-        normal, offset = plane
-        values = [_dot(normal, p) for p in coords]
-        if all(v <= offset for v in values):
-            found[(normal, offset)] = True
-        elif all(v >= offset for v in values):
-            found[(tuple(-x for x in normal), -offset)] = True
-    return [(n, b) for (n, b) in found]
-
-
 def _hull_coords(coords, d, basis_idx):
     """Facet list [(normal, offset)] of the hull of full-rank affine coords."""
     if d == 0:
@@ -277,28 +205,8 @@ def _hull_coords(coords, d, basis_idx):
         return _hull_1d(coords)[1]
     if d == 2:
         return _hull_2d(coords)[1]
-    init_idx = [0] + basis_idx
-    try:
-        simplices = _hull_incremental(coords, d, init_idx)
-        ok = _simplicial_closed(simplices, d)
-    except ArithmeticError:
-        simplices = []
-        ok = False
-    facets = sorted({(n, b) for n, b, _verts in simplices})
-    if ok:
-        for p in coords:
-            if any(_dot(n, p) > b for n, b in facets):
-                ok = False
-                break
-    if ok:
-        for n, b in facets:
-            tight = [p for p in coords if _dot(n, p) == b]
-            if _affine_rank(tight) != d - 1:
-                ok = False
-                break
-    if not ok:
-        facets = sorted(_hull_brute(coords, d))
-    return facets
+    simplices = _hull_incremental(coords, d, [0] + basis_idx)
+    return sorted({(n, b) for n, b, _verts in simplices})
 
 
 def _lift_facet(basis, hull_vertices, normal_aff):
@@ -358,7 +266,7 @@ def _build(points, rational):
     equalities = []
     if d < n:
         # empty basis gives the full standard kernel, cutting out the point
-        for vec in _kernel_frac([list(v) for v in basis], n):
+        for vec in intlinalg.rational_kernel_basis(basis, n):
             normal = intlinalg.rational_ray_to_primitive(vec)
             lead = next(x for x in normal if x != 0)
             if lead < 0:
@@ -508,30 +416,11 @@ def faces(P, d):
     """All faces of dimension d, the whole polytope included at d = dim."""
     if d < 0 or d > P.dim_affine:
         raise InvalidDimension("no faces of dimension %d" % d)
-    try:
-        ambient_points = lattice_points(P)
-    except ComplexityLimit:
-        ambient_points = None
     result = []
     for S, dim in sorted(_face_sets(P).items(), key=lambda kv: sorted(kv[0])):
-        if dim != d:
-            continue
-        idxs = tuple(sorted(S))
-        verts = tuple(P.vertices[i] for i in idxs)
-        defining = [
-            (normal, offset)
-            for normal, offset in P.facet_inequalities
-            if all(_dot(normal, v) == offset for v in verts)
-        ]
-        if ambient_points is None:
-            pts = ()
-        else:
-            pts = tuple(
-                p
-                for p in ambient_points
-                if all(_dot(normal, p) == offset for normal, offset in defining)
-            )
-        result.append(Face(dim, idxs, verts, pts))
+        if dim == d:
+            idxs = tuple(sorted(S))
+            result.append(Face(dim, idxs, tuple(P.vertices[i] for i in idxs)))
     return result
 
 
@@ -692,31 +581,10 @@ def polygon_minkowski_decompositions(P):
     return [list(dec) for dec in sorted(decompositions, key=lambda ds: [Q.vertices for Q in ds])]
 
 
-def _independent_spanning(vertices):
-    """Indices i0, [i1..id] with affinely independent differences."""
-    base = vertices[0]
-    chosen = []
-    echelon = []
-    for idx in range(1, len(vertices)):
-        v = [Fraction(x) for x in _vec_sub(vertices[idx], base)]
-        residue = list(v)
-        for row in echelon:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if residue[lead] != 0:
-                factor = residue[lead] / row[lead]
-                residue = [a - factor * b for a, b in zip(residue, row)]
-        if any(x != 0 for x in residue):
-            chosen.append(idx)
-            echelon.append(residue)
-    return 0, chosen
-
-
 def _equivalence_candidates_full(P_verts, Q_verts, n):
     """Yield (A, t) with A unimodular, A*P + t = Q, both vertex lists full-dim."""
-    base_idx, span_idx = _independent_spanning(P_verts)
-    v0 = P_verts[base_idx]
-    V = [[P_verts[span_idx[j]][i] - v0[i] for j in range(n)] for i in range(n)]
-    V_inv = intlinalg.matrix_inverse(V)
+    v0, basis, _coords, _span_idx = _affine_data(P_verts)
+    V_inv = intlinalg.matrix_inverse(intlinalg.transpose(basis))
     Q_set = set(Q_verts)
     P_list = list(P_verts)
     for w0 in Q_verts:

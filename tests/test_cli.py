@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from toriclg import mutation
 from toriclg.cli import main
 from toriclg.constructions import catalog
 from toriclg.laurent import parse
@@ -141,6 +142,28 @@ def test_mutate_replays_trace(tmp_path, capsys):
     assert len(doc["payload"]["intermediates"]) == 2
     names = ("x", "y", "z")
     assert parse(doc["payload"]["result"], names) == CATALOG["quadric3.f1"]
+
+
+def test_mutate_applies_each_step_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_apply_step = mutation.apply_step
+
+    def counting_apply_step(f, step):
+        calls.append(step)
+        return real_apply_step(f, step)
+
+    monkeypatch.setattr(mutation, "apply_step", counting_apply_step)
+    steps = [
+        {"type": "cluster", "pivot": 1, "sign": -1, "factor": "x+1"},
+        {"type": "toric", "A": [[1, 0, 0], [0, 1, 0], [1, 0, 1]]},
+        {"type": "toric", "A": [[1, 0, 0], [0, 1, 0], [-1, 0, 1]]},
+    ]
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(steps))
+    code, doc = run_cli(["mutate", QUADRIC_F0, "--trace", str(trace)], capsys)
+    assert code == 0
+    assert len(doc["payload"]["intermediates"]) == len(steps) + 1
+    assert len(calls) == len(steps)
 
 
 def test_mutate_empty_trace_echoes_input(tmp_path, capsys):

@@ -1,13 +1,57 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toriclg import intlinalg as la
 
 
 def random_matrix(rng, m, n, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+def leibniz_det(A):
+    """Determinant as the signed sum over permutations; 1 for a 0x0 matrix."""
+    n = len(A)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= A[i][perm[i]]
+        total += term
+    return total
+
+
+def minor_rank(A, n):
+    """Order of the largest nonzero minor of the m x n matrix A."""
+    for k in range(min(len(A), n), 0, -1):
+        for rows in combinations(range(len(A)), k):
+            for cols in combinations(range(n), k):
+                if leibniz_det([[A[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+@st.composite
+def small_matrices(draw, square=False, min_rows=0):
+    """(A, n): an integer m x n matrix, m and n from 0 to 4 (or m = n).
+
+    Later rows are often combinations of earlier ones, so singular and
+    rank-deficient inputs are common; m = 0 or n = 0 gives the empty
+    shapes."""
+    m = draw(st.integers(min_rows, 4))
+    n = m if square else draw(st.integers(0, 4))
+    A = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, i - 1))
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            A[i] = [a * x + b * y for x, y in zip(A[j], A[i - 1])]
+    return A, n
 
 
 def test_det_examples():
@@ -130,3 +174,72 @@ def test_lp_feasible():
     assert la.lp_feasible(A, [1, 1, 1]) is not None
     # (3,3) is outside
     assert la.lp_feasible(A, [3, 3, 1]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_rref_is_reduced_with_the_same_row_space(case):
+    A, n = case
+    rows, pivot_cols, _ = la.rref(A)
+    assert len(rows) == len(pivot_cols) == minor_rank(A, n)
+    assert list(pivot_cols) == sorted(set(pivot_cols))
+    for i, c in enumerate(pivot_cols):
+        assert [row[c] for row in rows] == [int(k == i) for k in range(len(rows))]
+        assert not any(rows[i][:c])
+    # every row of A is a combination of the reduced rows, read off at the pivots
+    for row in A:
+        combination = [sum(r[c] * row[pc] for r, pc in zip(rows, pivot_cols)) for c in range(n)]
+        assert combination == list(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(square=True))
+def test_det_matches_leibniz_expansion(case):
+    A, _n = case
+    assert la.det(A) == leibniz_det(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(square=True, min_rows=1))
+def test_inverse_or_value_error_on_singular(case):
+    A, n = case
+    if leibniz_det(A) == 0:
+        with pytest.raises(ValueError):
+            la.matrix_inverse(A)
+        return
+    inv = la.matrix_inverse(A)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert la.mat_mul(A, inv) == identity
+    assert la.mat_mul(inv, A) == identity
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(min_rows=1), st.data())
+def test_solve_solves_or_reports_inconsistency(case, data):
+    A, n = case
+    b = data.draw(st.lists(st.integers(-4, 4), min_size=len(A), max_size=len(A)))
+    if data.draw(st.booleans()):
+        # a right-hand side in the column space
+        x = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        b = list(la.mat_vec(A, x))
+    solution = la.solve(A, b)
+    augmented = [list(row) + [v] for row, v in zip(A, b)]
+    if minor_rank(augmented, n + 1) > minor_rank(A, n):
+        assert solution is None
+    else:
+        assert solution is not None and len(solution) == n
+        assert la.mat_vec(A, solution) == tuple(b)
+    assert (solution is None) == (la.rank(augmented) > la.rank(A))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_rank_plus_kernel_dimension_is_column_count(case):
+    A, n = case
+    kernel = la.rational_kernel_basis(A, n)
+    assert la.rank(A) == minor_rank(A, n)
+    assert la.rank(A) + len(kernel) == n
+    for vec in kernel:
+        assert len(vec) == n
+        assert la.mat_vec(A, vec) == (0,) * len(A)
+    assert minor_rank(kernel, n) == len(kernel)

@@ -29,7 +29,7 @@ def test_face_restriction_examples():
     assert minkowski.face_restriction(f, edge) == laurent.parse("(x^2 + 2*x + 1)/(x*y*z)", V3)
     vertex = _face_with_vertices(P, 0, ((0, 1, 0),))
     assert minkowski.face_restriction(f, vertex) == laurent.parse("y", V3)
-    fake = Face(dim=1, vertex_indices=(0, 1), vertices=((5, 5, 5), (6, 6, 6)), lattice_points=())
+    fake = Face(dim=1, vertex_indices=(0, 1), vertices=((5, 5, 5), (6, 6, 6)))
     with pytest.raises(FaceMismatch):
         minkowski.face_restriction(f, fake)
 
@@ -287,6 +287,37 @@ def test_edge_binomials_implied_by_presentations():
         pres = minkowski.find_presentation(f)
         assert pres is not None and minkowski.verify_presentation(f, pres)[0]
         assert minkowski.edge_binomials_ok(f)[0]
+
+
+def test_supporting_pieces_of_2_face_summands_sum_to_each_edge():
+    """For every 2-face of a found presentation and each of its edges, the
+    summands' faces in the edge's outer direction sum to a translate of the
+    edge: face_w(Q1 + ... + Qk) = face_w(Q1) + ... + face_w(Qk), so this
+    follows from the summands adding up to the face."""
+    checked = 0
+    for name, f in sorted(constructions.catalog().items()):
+        if f.nvars != 3:
+            continue
+        pres = minkowski.find_presentation(f)
+        assert pres is not None, name
+        for key, summands in pres.assignments:
+            hull = polytope.convex_hull(list(key))
+            if hull.dim_affine != 2:
+                continue
+            for edge in polytope.edges(hull):
+                (w,) = [
+                    normal
+                    for normal, offset in hull.facet_inequalities
+                    if all(sum(a * b for a, b in zip(normal, v)) == offset for v in edge.vertices)
+                ]
+                total = None
+                for Q in summands:
+                    piece = polytope.convex_hull(list(polytope.supporting_vertices(Q, w)[1]))
+                    total = piece if total is None else polytope.minkowski_sum(total, piece)
+                expected = polytope.convex_hull(list(edge.vertices))
+                assert polytope.canonical_form(total) == polytope.canonical_form(expected), (name, key, edge)
+                checked += 1
+    assert checked > 0
 
 
 def test_presentation_json_roundtrip():

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly_strategy, random_nonzero_poly
 from toriclg import intlinalg, laurent
@@ -134,12 +136,106 @@ def test_faces_edges_lattice_points():
 def test_face_lattice_points_live_on_the_face():
     P = pt.newton_polytope(laurent.parse("(x+1)^2/(x*y*z)+y+z"))
     for e in pt.edges(P):
-        for z in e.lattice_points:
+        for z in pt.lattice_points(pt.convex_hull(e.vertices)):
             assert pt.contains(P, z)
     bottom = [e for e in pt.edges(P) if set(e.vertices) == {(1, -1, -1), (-1, -1, -1)}]
     assert len(bottom) == 1
-    assert (0, -1, -1) in bottom[0].lattice_points
+    assert (0, -1, -1) in pt.lattice_points(pt.convex_hull(bottom[0].vertices))
     assert pt.edge_lattice_length(bottom[0]) == 2
+
+
+def _det(M):
+    """Fraction-free (Bareiss) determinant of an integer matrix; 1 for 0x0."""
+    M = [list(row) for row in M]
+    sign, previous = 1, 1
+    for c in range(len(M)):
+        p = next((i for i in range(c, len(M)) if M[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            sign = -sign
+        for i in range(c + 1, len(M)):
+            for j in range(c + 1, len(M)):
+                M[i][j] = (M[i][j] * M[c][c] - M[i][c] * M[c][j]) // previous
+        previous = M[c][c]
+    return sign * previous
+
+
+def _oracle_facets(points):
+    """Index sets of the points on each facet of conv(points), for points
+    spanning Z^k: every hyperplane through k of them, its normal the
+    cofactor vector of their differences, that has all points on one side."""
+    k = len(points[0])
+    found = set()
+    for chosen in combinations(sorted(set(points)), k):
+        diffs = [[a - b for a, b in zip(p, chosen[0])] for p in chosen[1:]]
+        normal = [(-1) ** i * _det([row[:i] + row[i + 1 :] for row in diffs]) for i in range(k)]
+        if not any(normal):
+            continue
+        values = [sum(a * b for a, b in zip(normal, p)) for p in points]
+        top = sum(a * b for a, b in zip(normal, chosen[0]))
+        if all(v <= top for v in values) or all(v >= top for v in values):
+            found.add(frozenset(i for i, v in enumerate(values) if v == top))
+    return found
+
+
+@st.composite
+def degenerate_point_sets(draw):
+    """(points, ambient): points spanning Z^k with repeated, collinear and
+    coplanar ones among them, and their images under an injective affine
+    map into Z^n, n from 3 to 6 and k from 1 to n."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, n))
+    small = st.integers(-2, 2)
+    simplex = [(0,) * k] + [
+        tuple(draw(st.sampled_from((-2, -1, 1, 2))) if j == i else draw(st.integers(0, 1)) * (j < i) for j in range(k))
+        for i in range(k)
+    ]
+    points = list(simplex)
+    for _ in range(draw(st.integers(0, 7 if k < 5 else 4))):
+        kind = draw(st.sampled_from(("random", "repeat", "collinear", "coplanar")))
+        p, q, r = (draw(st.sampled_from(points)) for _ in range(3))
+        if kind == "random":
+            points.append(tuple(draw(small) for _ in range(k)))
+        elif kind == "repeat":
+            points.append(p)
+        elif kind == "collinear":
+            t = draw(st.sampled_from((-1, 2, 3)))
+            points.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+        else:
+            points.append(tuple(a + b - c for a, b, c in zip(p, q, r)))
+    points = draw(st.permutations(points))
+    # rows of a unit lower-triangular k x k block plus n - k free rows, shuffled
+    rows = [tuple(1 if j == i else draw(small) * (j < i) for j in range(k)) for i in range(k)]
+    rows += [tuple(draw(small) for _ in range(k)) for _ in range(n - k)]
+    rows = draw(st.permutations(rows))
+    shift = [draw(small) for _ in range(n)]
+    ambient = [tuple(sum(a * x for a, x in zip(row, p)) + s for row, s in zip(rows, shift)) for p in points]
+    return points, ambient
+
+
+@settings(max_examples=120, deadline=None)
+@given(degenerate_point_sets())
+def test_hull_facets_match_brute_force_oracle(case):
+    points, ambient = case
+    P = pt.convex_hull(ambient)
+    assert P.dim_affine == len(points[0])
+    assert all(pt.contains(P, q) for q in ambient)
+    tight = [
+        frozenset(i for i, q in enumerate(ambient) if sum(a * b for a, b in zip(normal, q)) == offset)
+        for normal, offset in P.facet_inequalities
+    ]
+    oracle = _oracle_facets(points)
+    assert len(set(tight)) == len(tight)
+    assert set(tight) == oracle
+    # a vertex is the only point left in the facets through it
+    vertices = set()
+    for i, p in enumerate(points):
+        through = [S for S in oracle if i in S]
+        if through and {points[j] for j in frozenset.intersection(*through)} == {p}:
+            vertices.add(ambient[i])
+    assert set(P.vertices) == vertices
 
 
 def test_is_primitive():
