@@ -9,8 +9,6 @@ to by name.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
 
 from . import intlinalg, laurent, mutation, polytope
 from .errors import CoordinateSearchFailed, NotFano, NotMarkov, NotWeightedTriangle
@@ -172,28 +170,6 @@ def triangle_weights(P):
     return tuple(w)
 
 
-def _solve_linear_map(verts, targets):
-    """Unimodular integer 2x2 matrix sending each vertex to its target, or None."""
-    m00, m01 = verts[0][0], verts[1][0]
-    m10, m11 = verts[0][1], verts[1][1]
-    dM = m00 * m11 - m01 * m10
-    if dM == 0:
-        return None
-    A = []
-    for i in range(2):
-        t0, t1 = targets[0][i], targets[1][i]
-        r0 = Fraction(t0 * m11 - t1 * m10, dM)
-        r1 = Fraction(t1 * m00 - t0 * m01, dM)
-        if r0.denominator != 1 or r1.denominator != 1:
-            return None
-        A.append([int(r0), int(r1)])
-    if abs(A[0][0] * A[1][1] - A[0][1] * A[1][0]) != 1:
-        return None
-    if tuple(intlinalg.mat_vec(A, verts[2])) != tuple(targets[2]):
-        return None
-    return A
-
-
 def galkin_mutate(f, triple, slot):
     """One weighted-plane mutation step on a two-variable model.
 
@@ -227,24 +203,11 @@ def galkin_mutate(f, triple, slot):
     third_num = d * m - b * b
     if third_num % c != 0:
         raise CoordinateSearchFailed("third vertex target is not integral")
-    weighted_targets = (
-        (a * a, (d, c)),
-        (b * b, (d - c, c)),
-        (c * c, (-(third_num // c), -m)),
-    )
-    best = None
-    for perm in permutations(range(3)):
-        if any(weights[i] != weighted_targets[perm[i]][0] for i in range(3)):
-            continue
-        A = _solve_linear_map(P.vertices, [weighted_targets[perm[i]][1] for i in range(3)])
-        if A is None:
-            continue
-        key = tuple(tuple(row) for row in A)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    target = polytope.convex_hull([(d, c), (d - c, c), (-(third_num // c), -m)])
+    linear = [A for A, t in polytope.lattice_equivalence_candidates(P, target) if t == (0, 0)]
+    if not linear:
         raise CoordinateSearchFailed("no unimodular map onto the target triangle")
-    skewed = laurent.monomial_substitute(f, [list(row) for row in best])
+    skewed = laurent.monomial_substitute(f, min(linear))
     factor = laurent.add(laurent.variable(f.var_names, 0), laurent.one(f.var_names))
     g = mutation.apply_cluster(skewed, mutation.ClusterChange(1, 1, factor))
     new_triple = MarkovTriple(a, b, m)

@@ -5,8 +5,10 @@ large inputs (ambient dimensions stay below 10 throughout the package),
 so the implementations favor exactness and clarity.  There are three
 eliminations: `rref`, the one exact reduced row echelon form over Q from
 which determinants, inverses, solutions, ranks and rational kernels are
-read; a textbook Smith normal form over Z; and a small Bland-rule simplex
-for feasibility questions.
+read; a textbook Smith normal form over Z, from which integer kernels and
+lattice frames (a unimodular change of basis putting a set of integer
+vectors into saturated coordinates) are read; and a small Bland-rule
+simplex for feasibility questions.
 """
 
 from __future__ import annotations
@@ -216,22 +218,17 @@ def integer_kernel_basis(A):
     return [tuple(V[k][j] for k in range(n)) for j in range(r, n)]
 
 
-def saturation_basis(vectors):
-    """Basis of the saturation of the lattice spanned by the given vectors.
+def lattice_frame(vectors):
+    """(U, U_inv, r) for integer vectors in Z^n, from one Smith normal form.
 
-    The saturation is span_Q(vectors) intersected with Z^n; its basis
-    extends to a basis of Z^n, which is what makes coordinate reductions
-    to full dimension unimodularly reversible.
+    U is unimodular and U*v is zero past its first r entries for every
+    given v; those r entries are v's coordinates in the first r columns of
+    U_inv, a basis of the saturation span_Q(vectors) intersected with Z^n.
+    The remaining columns of U_inv complete it to a basis of Z^n.
     """
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    cols = transpose(vectors)  # n x k matrix with the vectors as columns
-    D, U, _V = smith_normal_form(cols)
-    r = sum(1 for i in range(min(n, len(vectors))) if D[i][i] != 0)
-    U_inv = integer_inverse(U)
-    return [tuple(U_inv[k][j] for k in range(n)) for j in range(r)]
+    D, U, _V = smith_normal_form(transpose(vectors))
+    r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
+    return U, integer_inverse(U), r
 
 
 def primitive_vector(v):
@@ -269,34 +266,6 @@ def unimodular_with_last_row(g):
         for k in range(n):
             W[k][n - 1] = -W[k][n - 1]
     return integer_inverse(W)
-
-
-def unimodular_completion(columns):
-    """Extend integer columns spanning a saturated rank-d lattice to a
-    unimodular n x n matrix whose first d columns are the given ones."""
-    n = len(columns[0])
-    d = len(columns)
-    S = [[int(columns[j][i]) for j in range(d)] for i in range(n)]
-    D, U, V = smith_normal_form(S)
-    for k in range(d):
-        if abs(D[k][k]) != 1:
-            raise ValueError("columns do not span a saturated lattice")
-    # S = U^-1 D V^-1 with D diag(+-1); take T = U^-1 * blockdiag(diag(D) V^-1, I)
-    U_inv = integer_inverse(U)
-    V_inv = integer_inverse(V)
-    block = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i < d and j < d:
-                block[i][j] = D[i][i] * V_inv[i][j]
-            elif i >= d and j >= d:
-                block[i][j] = int(i == j)
-    T = mat_mul(U_inv, block)
-    for i in range(n):
-        for j in range(d):
-            if T[i][j] != S[i][j]:
-                raise ValueError("completion failed")
-    return [[int(x) for x in row] for row in T]
 
 
 def int_nth_root(m, d):

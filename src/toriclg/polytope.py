@@ -32,7 +32,9 @@ MAX_EDGE_SLOTS = 12
 
 
 @dataclass(frozen=True)
-class LatticePolytope:
+class Polytope:
+    """A lattice or rational polytope; is_lattice tells which."""
+
     dim_ambient: int
     vertices: tuple
     facet_inequalities: tuple
@@ -40,19 +42,7 @@ class LatticePolytope:
     dim_affine: int
 
     def __repr__(self):
-        return "LatticePolytope(%r)" % (list(self.vertices),)
-
-
-@dataclass(frozen=True)
-class RationalPolytope:
-    dim_ambient: int
-    vertices: tuple
-    facet_inequalities: tuple
-    affine_equalities: tuple
-    dim_affine: int
-
-    def __repr__(self):
-        return "RationalPolytope(%r)" % (list(self.vertices),)
+        return "Polytope(%r)" % (list(self.vertices),)
 
 
 @dataclass(frozen=True)
@@ -277,8 +267,7 @@ def _build(points, rational):
             equalities.append((normal, value))
     equalities = tuple(sorted(equalities))
 
-    cls = RationalPolytope if rational else LatticePolytope
-    return cls(n, verts, facets, equalities, d)
+    return Polytope(n, verts, facets, equalities, d)
 
 
 def convex_hull(points):
@@ -323,20 +312,18 @@ def minkowski_sum(P, Q):
     if P.dim_ambient != Q.dim_ambient:
         raise DimensionMismatch("ambient dimensions differ")
     sums = [_vec_add(v, w) for v in P.vertices for w in Q.vertices]
-    if isinstance(P, RationalPolytope) or isinstance(Q, RationalPolytope):
-        return rational_hull(sums)
-    return convex_hull(sums)
+    if is_lattice(P) and is_lattice(Q):
+        return convex_hull(sums)
+    return rational_hull(sums)
 
 
 def translate(P, t):
     if len(t) != P.dim_ambient:
         raise DimensionMismatch("shift has wrong length")
     moved = [_vec_add(v, t) for v in P.vertices]
-    if isinstance(P, RationalPolytope):
-        return rational_hull(moved)
-    if any(Fraction(x).denominator != 1 for x in t):
-        return rational_hull(moved)
-    return convex_hull([tuple(int(x) for x in v) for v in moved])
+    if is_lattice(P) and all(Fraction(x).denominator == 1 for x in t):
+        return convex_hull(moved)
+    return rational_hull(moved)
 
 
 def contains(P, x):
@@ -511,6 +498,15 @@ def _partitions_into_minimal(slots):
                 yield (part,) + tail
 
 
+def _frame_coords(points):
+    """(U, U_inv, coords) for integer points: the lattice frame of their
+    differences to points[0] and each point's integer coordinates in the
+    saturated basis, the first r columns of U_inv."""
+    diffs = [tuple(int(x) for x in _vec_sub(p, points[0])) for p in points]
+    U, U_inv, r = intlinalg.lattice_frame(diffs)
+    return U, U_inv, [intlinalg.mat_vec(U[:r], diff) for diff in diffs]
+
+
 def _summand_from_part(part, basis2, ambient_dim):
     """Rebuild the convex summand with the given primitive edge multiset and
     return it in ambient coordinates, translated canonically."""
@@ -532,14 +528,8 @@ def _polygon_edge_slots(P):
     plane.  ComplexityLimit above MAX_EDGE_SLOTS slots."""
     if P.dim_affine != 2:
         raise NotTwoDimensional("expected a polygon")
-    n = P.dim_ambient
-    base = P.vertices[0]
-    diffs = [_vec_sub(v, base) for v in P.vertices]
-    basis2 = intlinalg.saturation_basis([list(v) for v in diffs])
-    coords = []
-    for diff in diffs:
-        sol = intlinalg.solve([[basis2[j][i] for j in range(2)] for i in range(n)], list(diff))
-        coords.append((int(sol[0]), int(sol[1])))
+    _U, U_inv, coords = _frame_coords(P.vertices)
+    basis2 = [tuple(row[j] for row in U_inv) for j in range(2)]
     cycle = [coords[i] for i in _hull_2d(coords)[0]]
     slots = []
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -581,90 +571,50 @@ def polygon_minkowski_decompositions(P):
     return [list(dec) for dec in sorted(decompositions, key=lambda ds: [Q.vertices for Q in ds])]
 
 
-def _equivalence_candidates_full(P_verts, Q_verts, n):
-    """Yield (A, t) with A unimodular, A*P + t = Q, both vertex lists full-dim."""
-    v0, basis, _coords, _span_idx = _affine_data(P_verts)
-    V_inv = intlinalg.matrix_inverse(intlinalg.transpose(basis))
-    Q_set = set(Q_verts)
-    P_list = list(P_verts)
-    for w0 in Q_verts:
-        others = [w for w in Q_verts if w != w0]
-        for images in permutations(others, n):
-            W = [[images[j][i] - w0[i] for j in range(n)] for i in range(n)]
-            A = intlinalg.mat_mul(W, V_inv)
-            entries = [x for row in A for x in row]
-            if any(Fraction(x).denominator != 1 for x in entries):
-                continue
-            A_int = [[int(x) for x in row] for row in A]
-            if abs(intlinalg.det(A_int)) != 1:
-                continue
-            t = _vec_sub(w0, intlinalg.mat_vec(A_int, v0))
-            if any(Fraction(x).denominator != 1 for x in t):
-                continue
-            t_int = tuple(int(x) for x in t)
-            mapped = {tuple(a + b for a, b in zip(intlinalg.mat_vec(A_int, p), t_int)) for p in P_list}
-            if mapped == Q_set:
-                yield A_int, t_int
-
-
 def lattice_equivalence_candidates(P, Q):
-    """Yield every unimodular (A, t) with A*P + t = Q as vertex sets."""
-    if P.dim_ambient != Q.dim_ambient:
+    """Yield every unimodular (A, t) with A*P + t = Q as vertex sets.
+
+    Both polytopes are read in their lattice frames, where they are
+    full-dimensional in Z^d.  One scan fixes a vertex w0 of Q as the image
+    of P's first vertex and every ordered d-tuple of Q's other vertices as
+    the images of P's first affine basis; the map A_d = W adj(V) / det(V)
+    must be integral, carry P's vertices onto Q's and have |det| = 1.  It
+    lifts to A = U_Q^-1 diag(A_d, I) U_P.  A polytope with a non-integer
+    vertex yields nothing."""
+    if P.dim_ambient != Q.dim_ambient or P.dim_affine != Q.dim_affine:
         return
-    if P.dim_affine != Q.dim_affine or len(P.vertices) != len(Q.vertices):
+    if len(P.vertices) != len(Q.vertices) or not (is_lattice(P) and is_lattice(Q)):
         return
     n = P.dim_ambient
     d = P.dim_affine
+    P_verts = [tuple(int(x) for x in v) for v in P.vertices]
+    Q_verts = [tuple(int(x) for x in w) for w in Q.vertices]
     if d == 0:
-        t = _vec_sub(Q.vertices[0], P.vertices[0])
-        if all(Fraction(x).denominator == 1 for x in t):
-            yield intlinalg.identity(n), tuple(int(x) for x in t)
+        yield intlinalg.identity(n), _vec_sub(Q_verts[0], P_verts[0])
         return
-    if d == n:
-        yield from _equivalence_candidates_full(P.vertices, Q.vertices, n)
-        return
-    # lower-dimensional: solve in saturated coordinates, then lift
-    p0 = P.vertices[0]
-    q0 = Q.vertices[0]
-    S_P = intlinalg.saturation_basis([list(_vec_sub(v, p0)) for v in P.vertices])
-    S_Q = intlinalg.saturation_basis([list(_vec_sub(w, q0)) for w in Q.vertices])
-    if len(S_P) != d or len(S_Q) != d:
-        return
-
-    def coords_in(basis, origin, verts):
-        out = []
-        for v in verts:
-            sol = intlinalg.solve(
-                [[basis[j][i] for j in range(d)] for i in range(n)], list(_vec_sub(v, origin))
-            )
-            if sol is None or any(Fraction(x).denominator != 1 for x in sol):
-                return None
-            out.append(tuple(int(x) for x in sol))
-        return out
-
-    coords_P = coords_in(S_P, p0, P.vertices)
-    coords_Q = coords_in(S_Q, q0, Q.vertices)
-    if coords_P is None or coords_Q is None:
-        return
-    T_P = intlinalg.unimodular_completion([tuple(v) for v in S_P])
-    T_Q = intlinalg.unimodular_completion([tuple(v) for v in S_Q])
-    T_P_inv = intlinalg.integer_inverse(T_P)
-    Q_set = set(tuple(int(x) for x in w) for w in Q.vertices)
-    for A_d, t_d in _equivalence_candidates_full(coords_P, coords_Q, d):
-        block = [
-            [A_d[i][j] if i < d and j < d else int(i == j) if i >= d and j >= d else 0 for j in range(n)]
-            for i in range(n)
-        ]
-        A = intlinalg.mat_mul(intlinalg.mat_mul(T_Q, block), T_P_inv)
-        shift_part = tuple(sum(S_Q[j][i] * t_d[j] for j in range(d)) for i in range(n))
-        t = tuple(q0[i] + shift_part[i] - _dot(A[i], p0) for i in range(n))
-        if any(Fraction(x).denominator != 1 for x in t):
-            continue
-        A_int = [[int(x) for x in row] for row in A]
-        t_int = tuple(int(x) for x in t)
-        mapped = {tuple(a + b for a, b in zip(intlinalg.mat_vec(A_int, v), t_int)) for v in P.vertices}
-        if mapped == Q_set:
-            yield A_int, t_int
+    U_P, _, coords_P = _frame_coords(P_verts)
+    _, U_Q_inv, coords_Q = _frame_coords(Q_verts)
+    basis_idx = intlinalg.rref(intlinalg.transpose(coords_P))[1]
+    V = [[coords_P[j][i] for j in basis_idx] for i in range(d)]
+    det_V = int(intlinalg.det(V))
+    adj_V = [[int(x * det_V) for x in row] for row in intlinalg.matrix_inverse(V)]
+    Q_set = set(coords_Q)
+    for w0, c0 in zip(Q_verts, coords_Q):
+        others = [c for c in coords_Q if c != c0]
+        for images in permutations(others, d):
+            W = [[c[i] - c0[i] for c in images] for i in range(d)]
+            A_d = intlinalg.mat_mul(W, adj_V)
+            if any(x % det_V for row in A_d for x in row):
+                continue
+            A_d = [[x // det_V for x in row] for row in A_d]
+            if {_vec_add(intlinalg.mat_vec(A_d, c), c0) for c in coords_P} != Q_set:
+                continue
+            if abs(intlinalg.det(A_d)) != 1:
+                continue
+            block = [row + [0] * (n - d) for row in A_d]
+            block += [[int(i == j) for j in range(n)] for i in range(d, n)]
+            A = intlinalg.mat_mul(intlinalg.mat_mul(U_Q_inv, block), U_P)
+            yield A, _vec_sub(w0, intlinalg.mat_vec(A, P_verts[0]))
 
 
 def lattice_equivalent(P, Q):

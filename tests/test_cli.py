@@ -221,6 +221,24 @@ def test_iv_mutate_with_expected_polytope(tmp_path, capsys):
     assert "A" in doc["payload"]["equivalence"]
 
 
+def test_iv_mutate_rejects_fractional_expected_polytope(tmp_path, capsys):
+    # a half-integer translate of the true result is not lattice equivalent to it
+    data = {
+        "polytope": {"dim": 2, "vertices": [[-1, 2], [1, 2], [0, -1]]},
+        "r": [0, 1, 0],
+        "s_matrix": [[1, 0, 0], [0, 1, 1]],
+        "C1": [[-1, 1], [0, 1]],
+        "C2": [["1/2", "1/2"]],
+        "expected": {"dim": 2, "vertices": [["-1/2", 1], ["1/2", 1], ["3/2", -2]]},
+    }
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps(data))
+    code, doc = run_cli(["iv-mutate", str(path)], capsys)
+    assert code == 2
+    assert doc["payload"]["equivalent_to_expected"] is False
+    assert "equivalence" not in doc["payload"]
+
+
 def test_iv_mutate_without_expected(tmp_path, capsys):
     data = {
         "polytope": {"dim": 2, "vertices": [[-1, 2], [1, 2], [0, -1]]},

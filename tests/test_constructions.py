@@ -1,9 +1,12 @@
 """Builders: complete-intersection models, Markov triples, weighted-plane
 mutation chains, and the named catalog."""
 
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 
-from toriclg import constructions, laurent, mutation, period, polytope
+from toriclg import constructions, intlinalg, laurent, mutation, period, polytope
 from toriclg.constructions import CompleteIntersectionSpec, MarkovTriple
 from toriclg.errors import CoordinateSearchFailed, NotFano, NotMarkov, NotWeightedTriangle
 
@@ -150,6 +153,73 @@ def test_galkin_chain_from_basic_model():
     base = period.period_sequence(f0, 9)
     for g in chain[1:]:
         assert period.period_sequence(g, 9).values == base.values
+
+
+def _solve_linear_map(verts, targets):
+    """Unimodular integer 2x2 matrix sending each vertex to its target, or None."""
+    m00, m01 = verts[0][0], verts[1][0]
+    m10, m11 = verts[0][1], verts[1][1]
+    dM = m00 * m11 - m01 * m10
+    if dM == 0:
+        return None
+    A = []
+    for i in range(2):
+        t0, t1 = targets[0][i], targets[1][i]
+        r0 = Fraction(t0 * m11 - t1 * m10, dM)
+        r1 = Fraction(t1 * m00 - t0 * m01, dM)
+        if r0.denominator != 1 or r1.denominator != 1:
+            return None
+        A.append([int(r0), int(r1)])
+    if abs(A[0][0] * A[1][1] - A[0][1] * A[1][0]) != 1:
+        return None
+    if tuple(intlinalg.mat_vec(A, verts[2])) != tuple(targets[2]):
+        return None
+    return A
+
+
+def _galkin_oracle(f, triple, slot):
+    """The weighted-plane step with its own 2x2 coordinate search: every
+    weight-preserving vertex matching, the lexicographically least map."""
+    vals = triple.as_tuple()
+    c = vals[slot]
+    a, b = sorted(vals[i] for i in range(3) if i != slot)
+    P = polytope.newton_polytope(f)
+    weights = constructions.triangle_weights(P)
+    d = next((cand for cand in range(c, 2 * c) if (3 * a * cand - b) % c == 0), None)
+    if d is None:
+        raise CoordinateSearchFailed("no admissible exponent for slot value %d" % c)
+    m = 3 * a * b - c
+    third_num = d * m - b * b
+    if third_num % c != 0:
+        raise CoordinateSearchFailed("third vertex target is not integral")
+    weighted_targets = ((a * a, (d, c)), (b * b, (d - c, c)), (c * c, (-(third_num // c), -m)))
+    best = None
+    for perm in permutations(range(3)):
+        if any(weights[i] != weighted_targets[perm[i]][0] for i in range(3)):
+            continue
+        A = _solve_linear_map(P.vertices, [weighted_targets[perm[i]][1] for i in range(3)])
+        if A is not None and (best is None or A < best):
+            best = A
+    if best is None:
+        raise CoordinateSearchFailed("no unimodular map onto the target triangle")
+    skewed = laurent.monomial_substitute(f, best)
+    factor = laurent.add(laurent.variable(f.var_names, 0), laurent.one(f.var_names))
+    return mutation.apply_cluster(skewed, mutation.ClusterChange(1, 1, factor))
+
+
+def test_galkin_coordinate_search_matches_2x2_oracle():
+    # every slot of every model on the chain p2.f -> depth 4
+    f, triple = constructions.catalog()["p2.f"], T(1, 1, 1)
+    for _ in range(4):
+        for slot in range(3):
+            try:
+                expected = _galkin_oracle(f, triple, slot)
+            except CoordinateSearchFailed as err:
+                with pytest.raises(CoordinateSearchFailed, match=str(err)):
+                    constructions.galkin_mutate(f, triple, slot)
+                continue
+            assert constructions.galkin_mutate(f, triple, slot)[0] == expected
+        f, triple = constructions.galkin_mutate(f, triple, 1)
 
 
 def test_galkin_p114_step_down():

@@ -106,15 +106,20 @@ def test_saturation_basis_is_saturated_and_spans():
         n = rng.randint(1, 4)
         k = rng.randint(1, 3)
         vectors = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
-        basis = la.saturation_basis(vectors)
+        U, U_inv, r = la.lattice_frame(vectors)
+        assert abs(la.det(U)) == 1
+        assert la.mat_mul(U, U_inv) == la.identity(n)
+        assert r == la.rank(vectors)
+        basis = [tuple(row[j] for row in U_inv) for j in range(r)]
+        for v in vectors:
+            image = la.mat_vec(U, v)
+            # U*v vanishes past row r, and its first r entries rebuild v
+            assert image[r:] == (0,) * (n - r)
+            rebuilt = tuple(sum(image[j] * basis[j][i] for j in range(r)) for i in range(n))
+            assert rebuilt == v
         if not basis:
             assert all(all(x == 0 for x in v) for v in vectors)
             continue
-        # each input vector is an integer combination of the basis
-        for v in vectors:
-            sol = la.solve(la.transpose(basis), v)
-            assert sol is not None
-            assert all(x.denominator == 1 for x in sol)
         # the basis extends to a basis of Z^n: all SNF diagonal entries are 1
         D, _, _ = la.smith_normal_form(basis)
         for i in range(len(basis)):

@@ -144,6 +144,16 @@ def test_cubic_triple_mutation_cycle():
     assert mutation.apply_toric(g3, w3) == f0
 
 
+def test_equivalent_up_to_toric_lower_dimensional_support():
+    # the support is a segment in the plane, so the witness is lifted from Z^1
+    f = laurent.parse("x*y + 2/(x*y)")
+    g = laurent.parse("x^2*y + 2/(x^2*y)")
+    w = mutation.equivalent_up_to_toric(f, g)
+    assert w is not None
+    assert mutation.apply_toric(f, w) == g
+    assert mutation.equivalent_up_to_toric(f, laurent.parse("x^2*y^2 + 2/(x^2*y^2)")) is None
+
+
 def test_equivalence_negative():
     p2 = laurent.parse("x + y + 1/(x*y)")
     other = laurent.parse("x + y + 1/(x*y^2)")

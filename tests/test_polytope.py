@@ -357,6 +357,56 @@ def test_lattice_equivalent_negative():
     assert pt.lattice_equivalent(P, square) is None
 
 
+def test_lattice_equivalent_needs_lattice_polytopes():
+    # a half-integer translate is no lattice polytope, so nothing maps onto it
+    P = pt.convex_hull([(0, 0), (2, 0), (0, 1)])
+    assert pt.lattice_equivalent(P, pt.translate(P, (Fraction(1, 2), 0))) is None
+
+
+def _unimodular(draw, n):
+    small = st.integers(-2, 2)
+    lower = [[1 if j == i else draw(small) * (j < i) for j in range(n)] for i in range(n)]
+    upper = [[1 if j == i else draw(small) * (j > i) for j in range(n)] for i in range(n)]
+    return [list(row) for row in draw(st.permutations(intlinalg.mat_mul(lower, upper)))]
+
+
+def _affine_image(A, t, v):
+    return tuple(x + y for x, y in zip(intlinalg.mat_vec(A, v), t))
+
+
+@st.composite
+def lower_dimensional_maps(draw):
+    """(P, A, t): a lattice polytope of affine dimension d < n <= 4, placed
+    by a unimodular map so its affine hull is not a coordinate subspace,
+    and a second unimodular A with integer shift t."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, n - 1))
+    small = st.integers(-2, 2)
+    points = [(0,) * d] + [
+        tuple(draw(st.sampled_from((-2, -1, 1, 2))) if j == i else draw(small) * (j < i) for j in range(d))
+        for i in range(d)
+    ]
+    points += [tuple(draw(small) for _ in range(d)) for _ in range(draw(st.integers(0, 3)))]
+    place, shift = _unimodular(draw, n), [draw(small) for _ in range(n)]
+    P = pt.convex_hull([_affine_image(place, shift, p + (0,) * (n - d)) for p in points])
+    return P, _unimodular(draw, n), tuple(draw(st.integers(-4, 4)) for _ in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lower_dimensional_maps())
+def test_lattice_equivalent_lower_dimensional(case):
+    P, A, t = case
+    assert P.dim_affine < P.dim_ambient
+    Q = pt.convex_hull([_affine_image(A, t, v) for v in P.vertices])
+    witness = pt.lattice_equivalent(P, Q)
+    assert witness is not None
+    WA, wt = witness
+    assert abs(intlinalg.det(WA)) == 1
+    assert {_affine_image(WA, wt, v) for v in P.vertices} == set(Q.vertices)
+    twice = pt.convex_hull([tuple(2 * x for x in v) for v in P.vertices])
+    assert pt.lattice_equivalent(P, twice) is None
+
+
 def test_rational_hull_and_lattice_conversion():
     R = pt.rational_hull([(Fraction(1, 2), Fraction(1, 2)), (0, 1), (-1, 1)])
     assert (Fraction(1, 2), Fraction(1, 2)) in R.vertices
