@@ -3,12 +3,14 @@
 All matrices are sequences of row sequences; nothing here is sized for
 large inputs (ambient dimensions stay below 10 throughout the package),
 so the implementations favor exactness and clarity.  There are three
-eliminations: `rref`, the one exact reduced row echelon form over Q from
-which determinants, inverses, solutions, ranks and rational kernels are
-read; a textbook Smith normal form over Z, from which integer kernels and
-lattice frames (a unimodular change of basis putting a set of integer
-vectors into saturated coordinates) are read; and a small Bland-rule
-simplex for feasibility questions.
+eliminations: one fraction-free (Bareiss) elimination over Q, from which
+ranks, pivot columns, determinants and primitive integer kernel rays are
+read in integers, and `rref` (its rows divided by the final pivot) for
+inverses, solutions and rational kernels; a textbook Smith normal form
+over Z, from which saturated integer kernels and lattice frames (a
+unimodular change of basis putting a set of integer vectors into
+saturated coordinates) are read; and a small Bland-rule simplex for
+feasibility questions.
 """
 
 from __future__ import annotations
@@ -37,17 +39,14 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def rref(A):
-    """Reduced row echelon form of A over Q: (rows, pivot_cols, det).
+def _bareiss(A):
+    """Fraction-free (Bareiss) elimination of A: (M, pivot_cols, pivot, sign, scale).
 
-    rows are the nonzero rows of the form, as Fraction lists; row i has its
-    leading 1 in column pivot_cols[i].  det is the determinant of A when A
-    is square, 0 otherwise.  Every other elimination over Q in the package
-    is read off this one.
-
-    The work is fraction-free: rows are scaled to integers, and each step
-    keeps every row an integer multiple, by the current pivot minor, of the
-    rational reduced row (Bareiss), so the divisions below are exact.
+    Rows of A are first scaled to integers (scale is the product of the
+    row scales).  Each step keeps every row an integer multiple, by the
+    current pivot minor, of its rational reduced row, so the divisions are
+    exact; at the end M[i] is pivot times row i of the reduced row echelon
+    form for i < len(pivot_cols), and sign tracks the row swaps.
     """
     M = []
     scale = 1
@@ -77,21 +76,32 @@ def rref(A):
                 M[i] = [(new * x - q * y) // pivot for x, y in zip(M[i], top)]
         pivot = new
         pivot_cols.append(c)
-    r = len(pivot_cols)
-    rows = [[Fraction(x, pivot) for x in M[i]] for i in range(r)]
-    det = Fraction(sign * pivot, scale) if r == m == n else Fraction(0)
-    return rows, pivot_cols, det
+    return M, pivot_cols, pivot, sign, scale
+
+
+def rref(A):
+    """Reduced row echelon form of A over Q: (rows, pivot_cols).
+
+    rows are the nonzero rows of the form, as Fraction lists; row i has its
+    leading 1 in column pivot_cols[i].  Inverses, solutions and rational
+    kernels are read off this form; ranks, pivots, determinants and integer
+    kernels come straight from the fraction-free elimination underneath it.
+    """
+    M, pivot_cols, pivot, _sign, _scale = _bareiss(A)
+    return [[Fraction(x, pivot) for x in M[i]] for i in range(len(pivot_cols))], pivot_cols
 
 
 def det(A):
     """Exact determinant of a square matrix, as a Fraction."""
-    return rref(A)[2]
+    M, pivot_cols, pivot, sign, scale = _bareiss(A)
+    full = len(pivot_cols) == len(M) == (len(M[0]) if M else 0)
+    return Fraction(sign * pivot, scale) if full else Fraction(0)
 
 
 def matrix_inverse(A):
     """Inverse with Fraction entries; ValueError if singular."""
     n = len(A)
-    rows, pivot_cols, _ = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
+    rows, pivot_cols = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
     if pivot_cols[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in rows]
@@ -111,7 +121,7 @@ def integer_inverse(A):
 def solve(A, b):
     """One exact solution of A x = b (free variables set to 0), or None."""
     n = len(A[0]) if A else 0
-    rows, pivot_cols, _ = rref([list(row) + [x] for row, x in zip(A, b)])
+    rows, pivot_cols = rref([list(row) + [x] for row, x in zip(A, b)])
     if n in pivot_cols:
         return None
     x = [Fraction(0)] * n
@@ -120,14 +130,20 @@ def solve(A, b):
     return tuple(x)
 
 
+def pivot_columns(A):
+    """Pivot columns of A's echelon form: the columns of A outside the span
+    of the columns before them."""
+    return _bareiss(A)[1]
+
+
 def rank(A):
-    return len(rref(A)[1])
+    return len(_bareiss(A)[1])
 
 
 def rational_kernel_basis(A, n):
     """Basis of {x in Q^n : A x = 0}, one vector per free column of the
     reduced form (1 there, 0 at the other free columns); A may have no rows."""
-    rows, pivot_cols, _ = rref(A)
+    rows, pivot_cols = rref(A)
     basis = []
     for fc in range(n):
         if fc in pivot_cols:
@@ -138,6 +154,23 @@ def rational_kernel_basis(A, n):
             vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
+
+
+def kernel_rays(A, n):
+    """Primitive integer vectors spanning {x in Q^n : A x = 0}, one per free
+    column of the fraction-free form; each is a positive multiple of the
+    matching `rational_kernel_basis` vector.  A may have no rows."""
+    M, pivot_cols, pivot, _sign, _scale = _bareiss(A)
+    rays = []
+    for fc in range(n):
+        if fc in pivot_cols:
+            continue
+        vec = [0] * n
+        vec[fc] = abs(pivot)
+        for row, pc in zip(M, pivot_cols):
+            vec[pc] = -row[fc] if pivot > 0 else row[fc]
+        rays.append(primitive_vector(vec))
+    return rays
 
 
 def smith_normal_form(A):
@@ -233,21 +266,16 @@ def lattice_frame(vectors):
 
 def primitive_vector(v):
     """v divided by the gcd of its entries (zero vector unchanged)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    if g == 0:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)
+    v = tuple(int(x) for x in v)
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else v
 
 
 def rational_ray_to_primitive(v):
     """First lattice point on the ray through a rational vector."""
-    denominators = [Fraction(x).denominator for x in v]
-    lcm = 1
-    for d in denominators:
-        lcm = lcm * d // gcd(lcm, d)
-    return primitive_vector(tuple(int(Fraction(x) * lcm) for x in v))
+    v = [Fraction(x) for x in v]
+    scale = lcm(*(x.denominator for x in v))
+    return primitive_vector(x.numerator * (scale // x.denominator) for x in v)
 
 
 def unimodular_with_last_row(g):

@@ -95,14 +95,18 @@ def apply_cluster(f, change):
         stripped = e[:pivot] + (0,) + e[pivot + 1 :]
         slices.setdefault(k, {})[stripped] = c
     result = laurent.zero(f.var_names)
+    powers = [laurent.one(f.var_names)]
     for k, terms in sorted(slices.items()):
         part = laurent.LaurentPoly(f.var_names, terms)
         exponent = -change.sign * k
+        while len(powers) <= abs(exponent):
+            powers.append(laurent.mul(powers[-1], change.factor))
+        power = powers[abs(exponent)]
         if exponent >= 0:
-            part = laurent.mul(part, laurent.pow(change.factor, exponent))
+            part = laurent.mul(part, power)
         else:
             try:
-                part = laurent.exact_divide(part, laurent.pow(change.factor, -exponent))
+                part = laurent.exact_divide(part, power)
             except NotDivisible as err:
                 raise NotLaurent("cluster change leaves the Laurent ring: %s" % err) from err
         shift = tuple(k if i == pivot else 0 for i in range(n))

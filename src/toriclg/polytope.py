@@ -1,7 +1,10 @@
 """Exact convex geometry for lattice and rational polytopes.
 
-All arithmetic is over Fraction; there is no floating point anywhere.
-Hulls are computed in affine coordinates, so lower-dimensional polytopes
+All arithmetic is exact (int and Fraction); there is no floating point
+anywhere.  Every hull, lattice or rational, is built on integer
+coordinates: the points are projected one-to-one onto coordinate axes of
+their affine hull and rational ones are scaled to integers, so facet
+normals come from fraction-free elimination.  Lower-dimensional polytopes
 get a faithful description: facet inequalities that cut the polytope out
 of its affine hull, plus equalities that cut the affine hull out of the
 ambient space.
@@ -77,36 +80,10 @@ def _hyperplane(coords, idxs, d):
     given d affinely independent coordinate points, or None if degenerate."""
     base = coords[idxs[0]]
     rows = [_vec_sub(coords[i], base) for i in idxs[1:]]
-    kernel = intlinalg.rational_kernel_basis(rows, d)
+    kernel = intlinalg.kernel_rays(rows, d)
     if len(kernel) != 1:
         return None
-    normal = intlinalg.rational_ray_to_primitive(kernel[0])
-    return normal, _dot(normal, base)
-
-
-def _affine_data(points):
-    """Base point, independent difference basis, affine coordinates of all
-    points, and the indices whose differences form the basis.
-
-    All four come from one reduced form of the matrix whose column j is
-    points[j] - points[0]: its pivot columns are the points independent of
-    the ones before them, and its column j holds point j's coordinates in
-    the differences of those points."""
-    base = points[0]
-    diffs = [_vec_sub(p, base) for p in points]
-    rows, basis_idx, _ = intlinalg.rref(intlinalg.transpose(diffs))
-    basis = [diffs[i] for i in basis_idx]
-    coords = [tuple(row[j] for row in rows) for j in range(len(points))]
-    return base, basis, coords, basis_idx
-
-
-def _hull_1d(coords):
-    values = [c[0] for c in coords]
-    lo = min(values)
-    hi = max(values)
-    vertex_idx = [values.index(lo), values.index(hi)]
-    facets = [((1,), hi), ((-1,), -lo)]
-    return vertex_idx, facets
+    return kernel[0], _dot(kernel[0], base)
 
 
 def _cross(o, a, b):
@@ -131,18 +108,19 @@ def _hull_2d(coords):
         a = coords[cycle[k]]
         b = coords[cycle[(k + 1) % len(cycle)]]
         direction = _vec_sub(b, a)
-        normal = intlinalg.rational_ray_to_primitive((direction[1], -direction[0]))
+        normal = intlinalg.primitive_vector((direction[1], -direction[0]))
         facets.append((normal, _dot(normal, a)))
     return cycle, facets
 
 
 def _hull_incremental(coords, d, init_idx):
-    """Beneath-beyond over Fractions; returns simplex facets
+    """Beneath-beyond over integer coordinates; returns simplex facets
     (normal, offset, frozenset of point indices) triangulating the boundary.
 
-    init_idx must index d + 1 affinely independent points.  The
-    ArithmeticErrors below mark broken invariants, not hard inputs."""
-    centroid = tuple(sum(coords[i][k] for i in init_idx) / len(init_idx) for k in range(d))
+    init_idx must index d + 1 affinely independent points; their sum is
+    d + 1 times an interior reference point.  The ArithmeticErrors below
+    mark broken invariants, not hard inputs."""
+    ref = tuple(sum(coords[i][k] for i in init_idx) for k in range(d))
     facets = []
     for omit in init_idx:
         rest = [i for i in init_idx if i != omit]
@@ -176,10 +154,10 @@ def _hull_incremental(coords, d, init_idx):
             if plane is None:
                 raise ArithmeticError("degenerate horizon ridge")
             normal, offset = plane
-            side = _dot(normal, centroid)
-            if side == offset:
+            side = _dot(normal, ref) - offset * (d + 1)
+            if side == 0:
                 raise ArithmeticError("reference point on new facet")
-            if side > offset:
+            if side > 0:
                 normal = tuple(-x for x in normal)
                 offset = -offset
             survivors.append((normal, offset, frozenset(ridge) | {idx}))
@@ -192,33 +170,26 @@ def _hull_coords(coords, d, basis_idx):
     if d == 0:
         return []
     if d == 1:
-        return _hull_1d(coords)[1]
+        values = [c[0] for c in coords]
+        return [((1,), max(values)), ((-1,), -min(values))]
     if d == 2:
         return _hull_2d(coords)[1]
     simplices = _hull_incremental(coords, d, [0] + basis_idx)
     return sorted({(n, b) for n, b, _verts in simplices})
 
 
-def _lift_facet(basis, hull_vertices, normal_aff):
-    """Turn an affine-coordinate facet normal into an ambient inequality."""
-    rows = [list(v) for v in basis]
-    solution = intlinalg.solve(rows, list(normal_aff))
-    normal = intlinalg.rational_ray_to_primitive(solution)
-    offset = max(_dot(normal, v) for v in hull_vertices)
-    return normal, offset
-
-
 def _build(points, rational):
-    seen = set()
-    cleaned = []
-    for p in points:
-        key = tuple(Fraction(x) for x in p)
-        if key not in seen:
-            seen.add(key)
-            cleaned.append(key)
-    cleaned.sort()
-    if not cleaned:
-        raise EmptyInput("no points given")
+    """Hull of the points, all facet and vertex work in integer coordinates.
+
+    The points independent of the ones before them (pivot columns of the
+    differences to the first point) span the affine hull, and the pivot
+    columns of their differences are coordinate axes onto which the affine
+    hull projects one-to-one; a point's coordinates are its difference
+    restricted to those axes, times the lcm of their denominators.  A facet
+    normal there is the ambient normal written on the axes, zero elsewhere.
+    rational picks Fraction vertices and offsets instead of int ones."""
+    entry = Fraction if rational else int
+    cleaned = sorted({tuple(entry(x) for x in p) for p in points})
     n = len(cleaned[0])
     if any(len(p) != n for p in cleaned):
         raise DimensionMismatch("points of mixed dimension")
@@ -226,48 +197,34 @@ def _build(points, rational):
         raise DimensionTooLarge("ambient dimension %d exceeds %d" % (n, MAX_AMBIENT_DIM))
     if n == 0:
         raise InvalidDimension("ambient dimension must be positive")
-    base, basis, coords, basis_idx = _affine_data(cleaned)
-    d = len(basis)
+    base = cleaned[0]
+    diffs = [_vec_sub(p, base) for p in cleaned]
+    basis_idx = intlinalg.pivot_columns(intlinalg.transpose(diffs))
+    basis = [diffs[i] for i in basis_idx]
+    axes = intlinalg.pivot_columns(basis)
+    d = len(axes)
+    coords = [tuple(diff[a] for a in axes) for diff in diffs]
+    if rational:
+        scale = math.lcm(*(x.denominator for c in coords for x in c))
+        coords = [tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords]
     facets_aff = _hull_coords(coords, d, basis_idx)
 
-    # vertices: points where the tight facet normals span the full affine rank
-    if d == 0:
-        vertex_idx = [0]
-    else:
-        vertex_idx = []
-        for i, c in enumerate(coords):
-            tight = [n_aff for n_aff, b in facets_aff if _dot(n_aff, c) == b]
-            if tight and intlinalg.rank([list(t) for t in tight]) == d:
-                vertex_idx.append(i)
-
-    if rational:
-        verts = tuple(sorted(cleaned[i] for i in vertex_idx))
-    else:
-        verts = tuple(sorted(tuple(int(x) for x in cleaned[i]) for i in vertex_idx))
-
-    facets = []
-    for n_aff, b in facets_aff:
-        normal, offset = _lift_facet(basis, verts, n_aff)
-        if not rational:
-            offset = int(offset)
-        facets.append((normal, offset))
-    facets = tuple(sorted(set(facets)))
-
+    # vertices: points where the tight facet normals span the full affine
+    # rank (d = 0: the one point, with no facets)
+    verts = []
+    for p, c in zip(cleaned, coords):
+        tight = [n_aff for n_aff, b in facets_aff if _dot(n_aff, c) == b]
+        if len(tight) >= d and intlinalg.rank(tight) == d:
+            verts.append(p)
+    normals = [tuple(dict(zip(axes, n_aff)).get(k, 0) for k in range(n)) for n_aff, _b in facets_aff]
+    facets = tuple(sorted((u, max(_dot(u, v) for v in verts)) for u in normals))
     equalities = []
-    if d < n:
-        # empty basis gives the full standard kernel, cutting out the point
-        for vec in intlinalg.rational_kernel_basis(basis, n):
-            normal = intlinalg.rational_ray_to_primitive(vec)
-            lead = next(x for x in normal if x != 0)
-            if lead < 0:
-                normal = tuple(-x for x in normal)
-            value = _dot(normal, base)
-            if not rational:
-                value = int(value)
-            equalities.append((normal, value))
-    equalities = tuple(sorted(equalities))
-
-    return Polytope(n, verts, facets, equalities, d)
+    # empty basis gives the full standard kernel, cutting out the point
+    for normal in intlinalg.kernel_rays(basis, n):
+        if next(x for x in normal if x != 0) < 0:
+            normal = tuple(-x for x in normal)
+        equalities.append((normal, _dot(normal, base)))
+    return Polytope(n, tuple(verts), facets, tuple(sorted(equalities)), d)
 
 
 def convex_hull(points):
@@ -594,7 +551,7 @@ def lattice_equivalence_candidates(P, Q):
         return
     U_P, _, coords_P = _frame_coords(P_verts)
     _, U_Q_inv, coords_Q = _frame_coords(Q_verts)
-    basis_idx = intlinalg.rref(intlinalg.transpose(coords_P))[1]
+    basis_idx = intlinalg.pivot_columns(intlinalg.transpose(coords_P))
     V = [[coords_P[j][i] for j in basis_idx] for i in range(d)]
     det_V = int(intlinalg.det(V))
     adj_V = [[int(x * det_V) for x in row] for row in intlinalg.matrix_inverse(V)]

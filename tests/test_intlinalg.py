@@ -185,7 +185,7 @@ def test_lp_feasible():
 @given(small_matrices())
 def test_rref_is_reduced_with_the_same_row_space(case):
     A, n = case
-    rows, pivot_cols, _ = la.rref(A)
+    rows, pivot_cols = la.rref(A)
     assert len(rows) == len(pivot_cols) == minor_rank(A, n)
     assert list(pivot_cols) == sorted(set(pivot_cols))
     for i, c in enumerate(pivot_cols):
@@ -248,3 +248,52 @@ def test_rank_plus_kernel_dimension_is_column_count(case):
         assert len(vec) == n
         assert la.mat_vec(A, vec) == (0,) * len(A)
     assert minor_rank(kernel, n) == len(kernel)
+
+
+@st.composite
+def padded_matrices(draw):
+    """(A, n): small_matrices with an optional zero row and zero column
+    spliced in, and entries optionally divided by small denominators."""
+    A, n = draw(small_matrices())
+    if draw(st.booleans()):
+        c = draw(st.integers(0, n))
+        A = [row[:c] + [0] + row[c:] for row in A]
+        n += 1
+    if draw(st.booleans()):
+        A.insert(draw(st.integers(0, len(A))), [0] * n)
+    if draw(st.booleans()):
+        A = [[Fraction(x, draw(st.sampled_from((1, 2, 3, 6)))) for x in row] for row in A]
+    return A, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_matrices())
+def test_kernel_rays_are_primitive_multiples_of_the_rational_kernel(case):
+    A, n = case
+    rays = la.kernel_rays(A, n)
+    basis = la.rational_kernel_basis(A, n)
+    assert len(rays) == len(basis)
+    for ray, vec in zip(rays, basis):
+        assert all(type(x) is int for x in ray)
+        assert la.primitive_vector(ray) == ray
+        assert la.mat_vec(A, ray) == (0,) * len(A)
+        # a positive multiple: the same primitive ray
+        assert la.rational_ray_to_primitive(vec) == ray
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_matrices())
+def test_rank_and_pivots_agree_with_rref(case):
+    A, n = case
+    pivot_cols = la.rref(A)[1]
+    assert la.pivot_columns(A) == pivot_cols
+    assert la.rank(A) == len(pivot_cols) == minor_rank(A, n)
+
+
+def test_kernel_rays_on_empty_and_zero_matrices():
+    assert la.kernel_rays([], 0) == []
+    assert la.kernel_rays([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert la.kernel_rays([[0, 0], [0, 0]], 2) == [(1, 0), (0, 1)]
+    assert la.kernel_rays([[2, 4]], 2) == [(-2, 1)]
+    assert la.kernel_rays([[Fraction(1, 2), Fraction(1, 3), 0]], 3) == [(-2, 3, 0), (0, 0, 1)]
+    assert la.rank([]) == la.rank([[0, 0]]) == 0 and la.pivot_columns([[0, 3, 1]]) == [1]

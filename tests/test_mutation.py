@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_nonzero_poly
 from toriclg import laurent, mutation, period
-from toriclg.errors import InvalidChange, NotLaurent, NotUnimodular
+from toriclg.errors import InvalidChange, NotDivisible, NotLaurent, NotUnimodular
 
 V3 = ("x", "y", "z")
 V4 = ("x", "y", "z", "t")
@@ -79,6 +79,59 @@ def test_cluster_not_laurent_when_division_fails():
     f = laurent.parse("1/y + x", V3)
     with pytest.raises(NotLaurent):
         mutation.apply_cluster(f, mutation.ClusterChange(1, -1, laurent.parse("x+1", V3)))
+
+
+def _at_pivot(p, pivot, k):
+    """p with every exponent's pivot entry set to k."""
+    return laurent.LaurentPoly(p.var_names, {e[:pivot] + (k,) + e[pivot + 1 :]: c for e, c in p.terms.items()})
+
+
+def _cluster_by_slice_powers(f, change):
+    """Reference cluster change: factor^|k| from laurent.pow for every slice."""
+    result = laurent.zero(f.var_names)
+    for k in sorted({e[change.pivot] for e in f.terms}):
+        terms = {e: c for e, c in f.terms.items() if e[change.pivot] == k}
+        part = _at_pivot(laurent.LaurentPoly(f.var_names, terms), change.pivot, 0)
+        exponent = -change.sign * k
+        if exponent >= 0:
+            part = laurent.mul(part, laurent.pow(change.factor, exponent))
+        else:
+            part = laurent.exact_divide(part, laurent.pow(change.factor, -exponent))
+        result = laurent.add(result, _at_pivot(part, change.pivot, k))
+    return result
+
+
+def test_cluster_matches_per_slice_powers():
+    # pivot exponents with gaps, of both signs, under both signs of change;
+    # slice k carries factor^max(0, sign*k), so every division is exact
+    rng = random.Random(2024)
+    outcomes = set()
+    for trial in range(24):
+        nvars = rng.choice((2, 3))
+        names = V3[:nvars]
+        pivot = rng.randrange(nvars)
+        sign = rng.choice((1, -1))
+        factor = laurent.zero(names)
+        while len(factor.terms) < 2:
+            factor = _at_pivot(random_nonzero_poly(rng, nvars, max_terms=3, exp_bound=1), pivot, 0)
+        f = laurent.zero(names)
+        for k in sorted(rng.sample(range(-4, 5), rng.randint(2, 4))):
+            h = _at_pivot(random_nonzero_poly(rng, nvars, max_terms=2, exp_bound=1), pivot, k)
+            f = laurent.add(f, laurent.mul(h, laurent.pow(factor, max(0, sign * k))))
+        change = mutation.ClusterChange(pivot, sign, factor)
+        assert mutation.apply_cluster(f, change) == _cluster_by_slice_powers(f, change), trial
+        # the opposite sign needs divisions the slices were not built for
+        opposite = mutation.ClusterChange(pivot, -sign, factor)
+        try:
+            expected = _cluster_by_slice_powers(f, opposite)
+        except NotDivisible:
+            outcomes.add("not Laurent")
+            with pytest.raises(NotLaurent):
+                mutation.apply_cluster(f, opposite)
+        else:
+            outcomes.add("Laurent")
+            assert mutation.apply_cluster(f, opposite) == expected, trial
+    assert outcomes == {"Laurent", "not Laurent"}
 
 
 def test_toric_change_validation():

@@ -238,6 +238,86 @@ def test_hull_facets_match_brute_force_oracle(case):
     assert set(P.vertices) == vertices
 
 
+@settings(max_examples=60, deadline=None)
+@given(degenerate_point_sets(), st.sampled_from((1, 2, 3, 6)))
+def test_rational_hull_of_scaled_points_matches_lattice_hull(case, k):
+    # k = 1 hands rational_hull the int points themselves
+    points, ambient = case
+    scaled = ambient if k == 1 else [tuple(Fraction(x, k) for x in q) for q in ambient]
+    P = pt.convex_hull(ambient)
+    R = pt.rational_hull(scaled)
+    assert R.dim_affine == P.dim_affine
+    assert R.vertices == tuple(tuple(Fraction(x, k) for x in v) for v in P.vertices)
+    assert all(type(x) is Fraction for v in R.vertices for x in v)
+    assert R.facet_inequalities == tuple((u, Fraction(b, k)) for u, b in P.facet_inequalities)
+    assert R.affine_equalities == tuple((u, Fraction(b, k)) for u, b in P.affine_equalities)
+    assert all(type(b) is Fraction for _u, b in R.facet_inequalities + R.affine_equalities)
+    tight = {
+        frozenset(i for i, q in enumerate(scaled) if sum(a * x for a, x in zip(normal, q)) == offset)
+        for normal, offset in R.facet_inequalities
+    }
+    assert tight == _oracle_facets(points)
+
+
+# hulls whose affine hull projects one-to-one onto coordinate axes other
+# than the leading ones (the axes are named); expected values pinned from
+# the Fraction-coordinate hull this integer path replaced
+LOWER_DIMENSIONAL_PINS = [
+    # axes 0, 2
+    (
+        pt.convex_hull,
+        [(0, 0, 0), (2, 1, 0), (0, 0, 2), (4, 2, 1), (2, 1, 1)],
+        (((-1, 0, 0), 0), ((0, 0, -1), 0), ((1, 0, -2), 2), ((1, 0, 4), 8)),
+        (((1, -2, 0), 0),),
+    ),
+    # axis 1: a segment along (0, 1, 1)
+    (
+        pt.convex_hull,
+        [(1, 0, 0), (1, 1, 1), (1, 3, 3), (1, -1, -1)],
+        (((0, -1, 0), 1), ((0, 1, 0), 3)),
+        (((0, 1, -1), 0), ((1, 0, 0), 1)),
+    ),
+    # axes 1, 2: a 2-face in 4-D
+    (
+        pt.convex_hull,
+        [(1, 0, 0, 0), (1, 2, 0, 2), (1, 0, 1, -1), (1, 1, 2, -1), (1, 1, 1, 0)],
+        (((0, -1, 0, 0), 0), ((0, -1, 1, 0), 1), ((0, 0, -1, 0), 0), ((0, 2, 1, 0), 4)),
+        (((0, 1, -1, -1), 0), ((1, 0, 0, 0), 1)),
+    ),
+    # axes 0, 1, 3: a 3-polytope in the hyperplane x1 = x0 + 2 x2
+    (
+        pt.convex_hull,
+        [(0, 0, 0, 0), (1, 1, 0, 0), (0, 2, 1, 0), (0, 0, 0, 1), (1, 3, 1, 1), (1, 1, 0, 1)],
+        (
+            ((-3, 1, 0, 2), 2),
+            ((-1, 0, 0, 0), 0),
+            ((0, 0, 0, -1), 0),
+            ((0, 0, 0, 1), 1),
+            ((1, -1, 0, 0), 0),
+            ((1, 0, 0, 0), 1),
+            ((1, 1, 0, -2), 2),
+        ),
+        (((1, -1, 2, 0), 0),),
+    ),
+    # axes 0, 2: a rational triangle in the plane y = 2x/3
+    (
+        pt.rational_hull,
+        [(Fraction(3, 2), 1, Fraction(1, 3)), (0, 0, 5), (Fraction(-3, 4), Fraction(-1, 2), 1)],
+        (((-16, 0, 3), Fraction(15)), ((-8, 0, -27), Fraction(-21)), ((28, 0, 9), Fraction(45))),
+        (((2, -3, 0), Fraction(0)),),
+    ),
+]
+
+
+@pytest.mark.parametrize("hull, points, facets, equalities", LOWER_DIMENSIONAL_PINS)
+def test_lower_dimensional_hulls_are_pinned(hull, points, facets, equalities):
+    P = hull(points)
+    assert P.dim_affine == P.dim_ambient - len(equalities)
+    assert P.facet_inequalities == facets
+    assert P.affine_equalities == equalities
+    assert all(type(b) is type(facets[0][1]) for _u, b in P.facet_inequalities + P.affine_equalities)
+
+
 def test_is_primitive():
     assert pt.is_primitive(pt.convex_hull([(1, 0), (0, 1), (-1, -1)]))
     assert not pt.is_primitive(pt.convex_hull([(2, 0), (0, 2), (-2, -2)]))
