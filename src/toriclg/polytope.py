@@ -32,6 +32,7 @@ from .errors import (
 MAX_AMBIENT_DIM = 6
 LATTICE_POINT_CAP = 2_000_000
 MAX_EDGE_SLOTS = 12
+MAX_EQUIVALENCE_TUPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -332,15 +333,20 @@ def lattice_points(P):
     return points
 
 
+def _facet_vertex_sets(P):
+    """The vertex indices on each facet, one frozenset per facet."""
+    return [
+        frozenset(i for i, v in enumerate(P.vertices) if _dot(normal, v) == offset)
+        for normal, offset in P.facet_inequalities
+    ]
+
+
 # bounded, so a long-lived process does not keep every polytope it has seen
 @lru_cache(maxsize=128)
 def _face_sets(P):
     """All nonempty faces as frozensets of vertex indices, mapped to their dims."""
     verts = P.vertices
-    tights = [
-        frozenset(i for i, v in enumerate(verts) if _dot(normal, v) == offset)
-        for normal, offset in P.facet_inequalities
-    ]
+    tights = _facet_vertex_sets(P)
     everything = frozenset(range(len(verts)))
     closed = {everything}
     frontier = {everything}
@@ -528,16 +534,39 @@ def polygon_minkowski_decompositions(P):
     return [list(dec) for dec in sorted(decompositions, key=lambda ds: [Q.vertices for Q in ds])]
 
 
+def _edge_graph(P):
+    """Sorted neighbour list of every vertex.  Vertices i and j are adjacent
+    when the facets through both meet the vertex set in exactly {i, j}; with
+    no facet through both the meet is every vertex, {i, j} only for a segment."""
+    tights = _facet_vertex_sets(P)
+    everything = frozenset(range(len(P.vertices)))
+    neighbours = [[] for _ in everything]
+    for i, j in combinations(everything, 2):
+        face = everything
+        for T in tights:
+            if i in T and j in T:
+                face &= T
+        if len(face) == 2:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    return neighbours
+
+
 def lattice_equivalence_candidates(P, Q):
     """Yield every unimodular (A, t) with A*P + t = Q as vertex sets.
 
     Both polytopes are read in their lattice frames, where they are
-    full-dimensional in Z^d.  One scan fixes a vertex w0 of Q as the image
-    of P's first vertex and every ordered d-tuple of Q's other vertices as
-    the images of P's first affine basis; the map A_d = W adj(V) / det(V)
-    must be integral, carry P's vertices onto Q's and have |det| = 1.  It
-    lifts to A = U_Q^-1 diag(A_d, I) U_P.  A polytope with a non-integer
-    vertex yields nothing."""
+    full-dimensional in Z^d.  A lattice automorphism maps edges to edges,
+    so P and Q must have the same vertex degrees, and P's first vertex p0
+    with d of its neighbours spanning a frame V goes to a vertex w0 of Q of
+    the same degree and an ordered d-tuple W of w0's neighbours.  Each
+    other vertex c of P then goes to w0 + W adj(V) c / det(V), which must
+    be integral and a vertex of Q; only maps passing that for every vertex
+    build A_d = W adj(V) / det(V) and must be integral with |det| = 1.  A_d
+    lifts to A = U_Q^-1 diag(A_d, I) U_P.  For each w0 the maps come in the
+    order of the Q indices of the images of P's first affine basis.
+    ComplexityLimit when more than MAX_EQUIVALENCE_TUPLES tuples W would
+    be tried; a polytope with a non-integer vertex yields nothing."""
     if P.dim_ambient != Q.dim_ambient or P.dim_affine != Q.dim_affine:
         return
     if len(P.vertices) != len(Q.vertices) or not (is_lattice(P) and is_lattice(Q)):
@@ -549,29 +578,49 @@ def lattice_equivalence_candidates(P, Q):
     if d == 0:
         yield intlinalg.identity(n), _vec_sub(Q_verts[0], P_verts[0])
         return
+    P_adj = _edge_graph(P)
+    Q_adj = _edge_graph(Q)
+    if sorted(map(len, P_adj)) != sorted(map(len, Q_adj)):
+        return
+    starts = [k for k, adj in enumerate(Q_adj) if len(adj) == len(P_adj[0])]
+    if len(starts) * math.perm(len(P_adj[0]), d) > MAX_EQUIVALENCE_TUPLES:
+        raise ComplexityLimit("equivalence scan needs over %d frame images" % MAX_EQUIVALENCE_TUPLES)
     U_P, _, coords_P = _frame_coords(P_verts)
     _, U_Q_inv, coords_Q = _frame_coords(Q_verts)
-    basis_idx = intlinalg.pivot_columns(intlinalg.transpose(coords_P))
-    V = [[coords_P[j][i] for j in basis_idx] for i in range(d)]
+    neighbours = [coords_P[j] for j in P_adj[0]]
+    frame = [P_adj[0][i] for i in intlinalg.pivot_columns(intlinalg.transpose(neighbours))]
+    V = [[coords_P[j][i] for j in frame] for i in range(d)]
     det_V = int(intlinalg.det(V))
     adj_V = [[int(x * det_V) for x in row] for row in intlinalg.matrix_inverse(V)]
-    Q_set = set(coords_Q)
-    for w0, c0 in zip(Q_verts, coords_Q):
-        others = [c for c in coords_Q if c != c0]
-        for images in permutations(others, d):
-            W = [[c[i] - c0[i] for c in images] for i in range(d)]
-            A_d = intlinalg.mat_mul(W, adj_V)
+    # c goes to w0 + W adj(V) c / det(V); with lam = adj(V) c, det(V) times
+    # that image is sum(lam_r w_r) + (det(V) - sum(lam)) w0
+    lams = [intlinalg.mat_vec(adj_V, coords_P[j]) for j in range(1, len(coords_P)) if j not in frame]
+    rest = [(lam, det_V - sum(lam)) for lam in lams]
+    basis_idx = intlinalg.pivot_columns(intlinalg.transpose(coords_P))
+    Q_index = {c: k for k, c in enumerate(coords_Q)}
+    scaled_Q = {tuple(det_V * x for x in c) for c in coords_Q}
+    for k0 in starts:
+        c0 = coords_Q[k0]
+        found = {}
+        for images in permutations(Q_adj[k0], d):
+            ws = [coords_Q[k] for k in images]
+            if not all(
+                tuple(sum(l * w[i] for l, w in zip(lam, ws)) + s * c0[i] for i in range(d)) in scaled_Q
+                for lam, s in rest
+            ):
+                continue
+            A_d = intlinalg.mat_mul([[w[i] - c0[i] for w in ws] for i in range(d)], adj_V)
             if any(x % det_V for row in A_d for x in row):
                 continue
             A_d = [[x // det_V for x in row] for row in A_d]
-            if {_vec_add(intlinalg.mat_vec(A_d, c), c0) for c in coords_P} != Q_set:
-                continue
-            if abs(intlinalg.det(A_d)) != 1:
-                continue
-            block = [row + [0] * (n - d) for row in A_d]
+            if abs(intlinalg.det(A_d)) == 1:
+                key = tuple(Q_index[_vec_add(intlinalg.mat_vec(A_d, coords_P[b]), c0)] for b in basis_idx)
+                found[key] = A_d
+        for key in sorted(found):
+            block = [row + [0] * (n - d) for row in found[key]]
             block += [[int(i == j) for j in range(n)] for i in range(d, n)]
             A = intlinalg.mat_mul(intlinalg.mat_mul(U_Q_inv, block), U_P)
-            yield A, _vec_sub(w0, intlinalg.mat_vec(A, P_verts[0]))
+            yield A, _vec_sub(Q_verts[k0], intlinalg.mat_vec(A, P_verts[0]))
 
 
 def lattice_equivalent(P, Q):

@@ -7,6 +7,7 @@ shapes, and exit codes at the same time.
 
 import io
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,19 @@ def test_equiv_identity_has_witness(capsys):
     assert code == 0
     assert doc["payload"]["equivalent"] is True
     assert doc["payload"]["witness"]["type"] == "toric"
+
+
+def test_equiv_scan_cap_exits_4(capsys):
+    # two cyclic polytopes C(4, 20): every vertex has 19 neighbours, so the
+    # scan would try 20 * 19 * 18 * 17 * 16 = 1,860,480 ordered tuples
+    first = " + ".join("x^%d*y^%d*z^%d*t^%d" % (s, s**2, s**3, s**4) for s in range(1, 21))
+    second = " + ".join("x^%d*y^%d*z^%d*t^%d" % (s, s**2, s**3, s**4) for s in range(2, 22))
+    start = time.perf_counter()
+    code, doc = run_cli(["equiv", first, second], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert doc["status"] == "fail"
+    assert doc["payload"]["error"] == "ComplexityLimit"
 
 
 def test_equiv_negative_is_fail(capsys):

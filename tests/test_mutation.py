@@ -216,6 +216,15 @@ def test_equivalence_negative():
     assert w is None or mutation.apply_toric(p2, w) == doubled
 
 
+def test_equivalence_negative_on_vertex_degrees():
+    # square pyramid against triangular bipyramid: 5 vertices in 3-D each,
+    # vertex degrees [3, 3, 3, 3, 4] against [3, 3, 4, 4, 4]
+    pyramid = laurent.parse("1 + x + y + x*y + z")
+    bipyramid = laurent.parse("x + y + 1/(x*y) + z + 1/z")
+    assert mutation.equivalent_up_to_toric(pyramid, bipyramid) is None
+    assert mutation.equivalent_up_to_toric(bipyramid, pyramid) is None
+
+
 def test_equivalence_with_scales():
     f = laurent.parse("x + y + 1/(x*y)")
     g = laurent.parse("4*x + 2*y + 1/(8*x*y)")

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_strategy, random_nonzero_poly
@@ -443,6 +443,52 @@ def test_lattice_equivalent_needs_lattice_polytopes():
     assert pt.lattice_equivalent(P, pt.translate(P, (Fraction(1, 2), 0))) is None
 
 
+def _equivalence_candidates_oracle(P, Q):
+    """Every unimodular (A, t) with A*P + t = Q, by trying each vertex w0 of
+    Q and each ordered d-tuple of Q's other vertices as the images of P's
+    first vertex and first affine basis, in that order."""
+    if P.dim_ambient != Q.dim_ambient or P.dim_affine != Q.dim_affine:
+        return
+    if len(P.vertices) != len(Q.vertices) or not (pt.is_lattice(P) and pt.is_lattice(Q)):
+        return
+    n = P.dim_ambient
+    d = P.dim_affine
+    P_verts = [tuple(int(x) for x in v) for v in P.vertices]
+    Q_verts = [tuple(int(x) for x in w) for w in Q.vertices]
+    if d == 0:
+        yield intlinalg.identity(n), pt._vec_sub(Q_verts[0], P_verts[0])
+        return
+    U_P, _, coords_P = pt._frame_coords(P_verts)
+    _, U_Q_inv, coords_Q = pt._frame_coords(Q_verts)
+    basis_idx = intlinalg.pivot_columns(intlinalg.transpose(coords_P))
+    V = [[coords_P[j][i] for j in basis_idx] for i in range(d)]
+    det_V = int(intlinalg.det(V))
+    adj_V = [[int(x * det_V) for x in row] for row in intlinalg.matrix_inverse(V)]
+    Q_set = set(coords_Q)
+    for w0, c0 in zip(Q_verts, coords_Q):
+        others = [c for c in coords_Q if c != c0]
+        for images in permutations(others, d):
+            W = [[c[i] - c0[i] for c in images] for i in range(d)]
+            A_d = intlinalg.mat_mul(W, adj_V)
+            if any(x % det_V for row in A_d for x in row):
+                continue
+            A_d = [[x // det_V for x in row] for row in A_d]
+            if {pt._vec_add(intlinalg.mat_vec(A_d, c), c0) for c in coords_P} != Q_set:
+                continue
+            if abs(intlinalg.det(A_d)) != 1:
+                continue
+            block = [row + [0] * (n - d) for row in A_d]
+            block += [[int(i == j) for j in range(n)] for i in range(d, n)]
+            A = intlinalg.mat_mul(intlinalg.mat_mul(U_Q_inv, block), U_P)
+            yield A, pt._vec_sub(w0, intlinalg.mat_vec(A, P_verts[0]))
+
+
+def _assert_scan_matches_oracle(P, Q):
+    scan = list(pt.lattice_equivalence_candidates(P, Q))
+    assert scan == list(_equivalence_candidates_oracle(P, Q))
+    return scan
+
+
 def _unimodular(draw, n):
     small = st.integers(-2, 2)
     lower = [[1 if j == i else draw(small) * (j < i) for j in range(n)] for i in range(n)]
@@ -485,6 +531,94 @@ def test_lattice_equivalent_lower_dimensional(case):
     assert {_affine_image(WA, wt, v) for v in P.vertices} == set(Q.vertices)
     twice = pt.convex_hull([tuple(2 * x for x in v) for v in P.vertices])
     assert pt.lattice_equivalent(P, twice) is None
+    _assert_scan_matches_oracle(P, Q)
+    _assert_scan_matches_oracle(P, twice)
+
+
+def _cross_polytope(n):
+    return [tuple(s * (i == k) for i in range(n)) for k in range(n) for s in (1, -1)]
+
+
+def _simplex(n):
+    return [(0,) * n] + [tuple(int(i == k) for i in range(n)) for k in range(n)]
+
+
+@st.composite
+def small_polytope_maps(draw):
+    """(P, A, t, R): a lattice polytope in ambient dimension 1-4 of any
+    affine dimension, a unimodular A with integer shift t, and an
+    unrelated polytope R with as many points drawn."""
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-2, 2)] * n)
+    points = draw(st.lists(point, min_size=1, max_size=n + 3, unique=True))
+    other = draw(st.lists(point, min_size=len(points), max_size=len(points), unique=True))
+    A = _unimodular(draw, n)
+    t = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    return pt.convex_hull(points), A, t, pt.convex_hull(other)
+
+
+# the first vertex has five neighbours and its first four span only a hyperplane
+FIRST_NEIGHBOURS_DEPENDENT = pt.convex_hull(
+    [(-1, -1, 1, -1), (-1, -1, 1, 1), (-1, 0, -1, -1), (0, 0, 1, 1), (0, 1, -1, -1), (0, 1, 1, 0)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polytope_maps())
+@example((FIRST_NEIGHBOURS_DEPENDENT, intlinalg.identity(4), (1, 0, 0, 0), pt.convex_hull(_simplex(4))))
+def test_equivalence_scan_matches_oracle(case):
+    P, A, t, R = case
+    Q = pt.convex_hull([_affine_image(A, t, v) for v in P.vertices])
+    assert _assert_scan_matches_oracle(P, Q)
+    _assert_scan_matches_oracle(P, R)
+
+
+# (points, order of the lattice automorphism group): every automorphism
+# must be yielded, since galkin_mutate reads the whole list
+SYMMETRIC_POLYTOPES = [
+    (list(product((0, 1), repeat=3)), 48),
+    (_cross_polytope(3), 48),
+    (_cross_polytope(4), 384),
+    (_simplex(1), 2),
+    (_simplex(2), 6),
+    (_simplex(3), 24),
+    (_simplex(4), 120),
+    ([(s, s**2, s**3, s**4) for s in range(7)], 2),
+]
+
+
+@pytest.mark.parametrize("points, automorphisms", SYMMETRIC_POLYTOPES)
+def test_equivalence_scan_matches_oracle_on_symmetric_polytopes(points, automorphisms):
+    P = pt.convex_hull(points)
+    n = P.dim_ambient
+    assert len(_assert_scan_matches_oracle(P, P)) == automorphisms
+    A = [[1 if j == i else int(j == i + 1) for j in range(n)] for i in range(n)]
+    Q = pt.convex_hull([_affine_image(A, (1,) * n, v) for v in P.vertices])
+    assert len(_assert_scan_matches_oracle(P, Q)) == automorphisms
+
+
+def test_equivalence_scan_rejects_different_vertex_degrees(monkeypatch):
+    # both have 5 vertices in 3-D; degrees [3, 3, 3, 3, 4] against [3, 3, 4, 4, 4]
+    pyramid = pt.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    bipyramid = pt.convex_hull([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)])
+    assert sorted(map(len, pt._edge_graph(pyramid))) == [3, 3, 3, 3, 4]
+    assert sorted(map(len, pt._edge_graph(bipyramid))) == [3, 3, 4, 4, 4]
+
+    def no_frames(points):
+        raise AssertionError("frame built for polytopes with different vertex degrees")
+
+    monkeypatch.setattr(pt, "_frame_coords", no_frames)
+    assert pt.lattice_equivalent(pyramid, bipyramid) is None
+    assert pt.lattice_equivalent(bipyramid, pyramid) is None
+
+
+def test_equivalence_scan_cap():
+    # C(4, 11) is neighbourly: 11 * 10 * 9 * 8 * 7 = 55,440 tuples; C(4, 13) needs 154,440
+    below = pt.convex_hull([(s, s**2, s**3, s**4) for s in range(11)])
+    assert len(list(pt.lattice_equivalence_candidates(below, below))) == 2
+    above = pt.convex_hull([(s, s**2, s**3, s**4) for s in range(13)])
+    with pytest.raises(ComplexityLimit):
+        pt.lattice_equivalent(above, above)
 
 
 def test_rational_hull_and_lattice_conversion():
