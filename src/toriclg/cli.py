@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import constructions, degeneration, laurent, minkowski, mutation, period, polytope
 from .constructions import CompleteIntersectionSpec, MarkovTriple
 from .degeneration import Cosection, SliceDecomposition
-from .errors import DomainError, InvalidDimension
+from .errors import DomainError, InvalidDimension, ShapeMismatch
 
 PERIOD_DEPTH = 8
 CHAIN_PERIOD_DEPTH = 9
@@ -175,50 +175,56 @@ def cmd_markov(args):
     return CommandResult("ok", payload)
 
 
-def cmd_p2_chain(args):
-    cat = constructions.catalog()
-    f = cat["p2.f"]
+def _p2_chain(depth):
+    """The weighted-plane chain from the plane model: galkin_mutate on slot
+    1, depth times, each model checked for the squared triangle weights and
+    for the start's period sequence to CHAIN_PERIOD_DEPTH.  One JSON entry
+    per model, the start first."""
+    f = constructions.catalog()["p2.f"]
     triple = MarkovTriple(1, 1, 1)
     base = period.period_sequence(f, CHAIN_PERIOD_DEPTH).values
     steps = [{"triple": list(triple.as_tuple()), "polynomial": laurent.format(f)}]
-    all_ok = True
-    for _ in range(args.depth):
+    for _ in range(depth):
         f, triple = constructions.galkin_mutate(f, triple, 1)
         weights = sorted(constructions.triangle_weights(polytope.newton_polytope(f)))
-        weights_ok = weights == sorted(triple.weights())
-        periods_ok = period.period_sequence(f, CHAIN_PERIOD_DEPTH).values == base
-        all_ok = all_ok and weights_ok and periods_ok
         steps.append(
             {
                 "triple": list(triple.as_tuple()),
                 "polynomial": laurent.format(f),
                 "weights": weights,
-                "weights_ok": weights_ok,
-                "periods_equal": periods_ok,
+                "weights_ok": weights == sorted(triple.weights()),
+                "periods_equal": period.period_sequence(f, CHAIN_PERIOD_DEPTH).values == base,
             }
         )
+    return steps
+
+
+def cmd_p2_chain(args):
+    steps = _p2_chain(args.depth)
     payload = {"depth": args.depth, "n": CHAIN_PERIOD_DEPTH, "steps": steps}
-    if not all_ok:
+    if not all(s["weights_ok"] and s["periods_equal"] for s in steps[1:]):
         return CommandResult("fail", payload, ["chain invariants failed"], exit_code=2)
     return CommandResult("ok", payload)
 
 
-def _rational_vertices(rows):
-    return [tuple(Fraction(x) for x in v) for v in rows]
+def _iv_mutate_data(data):
+    """(delta, cosection, decomposition, expected or None) from iv-mutate JSON;
+    data of the wrong shape raises ShapeMismatch."""
+    try:
+        delta = polytope.polytope_from_json(data["polytope"])
+        cos = Cosection(tuple(int(x) for x in data["r"]), tuple(tuple(int(x) for x in row) for row in data["s_matrix"]))
+        dec = SliceDecomposition(polytope.rational_hull(data["C1"]), polytope.rational_hull(data["C2"]))
+        expected = polytope.polytope_from_json(data["expected"]) if "expected" in data else None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ShapeMismatch("malformed iv-mutate data: %s" % exc)
+    return delta, cos, dec, expected
 
 
 def cmd_iv_mutate(args):
-    data = json.loads(_read_file(args.data))
-    delta = polytope.polytope_from_json(data["polytope"])
-    cos = Cosection(tuple(int(x) for x in data["r"]), tuple(tuple(int(x) for x in row) for row in data["s_matrix"]))
-    dec = SliceDecomposition(
-        polytope.rational_hull(_rational_vertices(data["C1"])),
-        polytope.rational_hull(_rational_vertices(data["C2"])),
-    )
+    delta, cos, dec, expected = _iv_mutate_data(json.loads(_read_file(args.data)))
     out = degeneration.mutate_polytope(delta, cos, dec)
     payload = {"polytope": polytope.polytope_to_json(out)}
-    if "expected" in data:
-        expected = polytope.polytope_from_json(data["expected"])
+    if expected is not None:
         witness = polytope.lattice_equivalent(out, expected)
         payload["expected"] = polytope.polytope_to_json(expected)
         payload["equivalent_to_expected"] = witness is not None
@@ -398,22 +404,11 @@ def _check_p114():
 
 
 def _check_p2():
-    cat = constructions.catalog()
-    f = cat["p2.f"]
-    base = period.period_sequence(f, CHAIN_PERIOD_DEPTH).values
-    triples = []
-    checks = []
-    triple = MarkovTriple(1, 1, 1)
-    for _ in range(3):
-        f, triple = constructions.galkin_mutate(f, triple, 1)
-        triples.append(triple.as_tuple())
-        weights = sorted(constructions.triangle_weights(polytope.newton_polytope(f)))
-        checks.append(weights == sorted(triple.weights()))
-        checks.append(period.period_sequence(f, CHAIN_PERIOD_DEPTH).values == base)
+    steps = _p2_chain(3)[1:]
     return [
-        ("chain visits (1,1,2), (1,2,5), (1,5,13)", triples == [(1, 1, 2), (1, 2, 5), (1, 5, 13)]),
-        ("every Newton triangle has the squared weights", all(checks[0::2])),
-        ("period sequences agree to N=%d" % CHAIN_PERIOD_DEPTH, all(checks[1::2])),
+        ("chain visits (1,1,2), (1,2,5), (1,5,13)", [s["triple"] for s in steps] == [[1, 1, 2], [1, 2, 5], [1, 5, 13]]),
+        ("every Newton triangle has the squared weights", all(s["weights_ok"] for s in steps)),
+        ("period sequences agree to N=%d" % CHAIN_PERIOD_DEPTH, all(s["periods_equal"] for s in steps)),
     ]
 
 

@@ -11,7 +11,11 @@ to by name.
 from dataclasses import dataclass
 
 from . import intlinalg, laurent, mutation, polytope
-from .errors import CoordinateSearchFailed, NotFano, NotMarkov, NotWeightedTriangle
+from .errors import ComplexityLimit, CoordinateSearchFailed, NotFano, NotMarkov, NotWeightedTriangle
+
+# depth d holds 2^(d-1) + 1 triples and their entries grow without bound,
+# so the tree stops well before its output reaches gigabytes (depth 14 fits)
+MARKOV_TRIPLE_CAP = 10_000
 
 _VAR_POOL = ("x", "y", "z", "t", "u", "v")
 
@@ -128,7 +132,10 @@ def markov_children(t):
 
 
 def markov_tree(depth):
-    """All triples within the given number of elementary transforms of (1,1,1)."""
+    """All triples within the given number of elementary transforms of (1,1,1).
+
+    Raises ComplexityLimit once more than MARKOV_TRIPLE_CAP triples are found.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     root = MarkovTriple(1, 1, 1)
@@ -141,6 +148,8 @@ def markov_tree(depth):
                 if child not in seen:
                     seen.add(child)
                     step.append(child)
+                    if len(seen) > MARKOV_TRIPLE_CAP:
+                        raise ComplexityLimit("more than %d Markov triples" % MARKOV_TRIPLE_CAP)
         frontier = step
     return seen
 

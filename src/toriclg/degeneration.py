@@ -127,18 +127,20 @@ def cone_over(P):
 
 
 def _extreme_generators(C):
-    """Drop generators lying in the cone of the remaining ones."""
-    keep = list(C.generators)
-    i = 0
-    while i < len(keep):
-        others = keep[:i] + keep[i + 1:]
-        if others:
-            columns = [[q[k] for q in others] for k in range(C.dim_ambient)]
-            if intlinalg.lp_feasible(columns, keep[i]) is not None:
-                keep.pop(i)
-                continue
-        i += 1
-    return keep
+    """The generators on extreme rays of C, or [] when C contains a line.
+
+    A pointed cone is the tangent cone at 0 of H = conv({0} + generators),
+    so its extreme rays are the edges of H at the origin (Ziegler,
+    Lectures on Polytopes, 1995); each ray holds exactly one generator,
+    the far end of its edge.  The origin is a vertex of H exactly when C
+    is pointed.  Like every hull, H raises DimensionTooLarge past
+    polytope.MAX_AMBIENT_DIM.
+    """
+    origin = (0,) * C.dim_ambient
+    H = polytope.convex_hull((origin,) + C.generators)
+    if origin not in H.vertices:
+        return []
+    return [H.vertices[j] for j in polytope._edge_graph(H)[H.vertices.index(origin)]]
 
 
 def slice(C, cos, level):
@@ -147,7 +149,10 @@ def slice(C, cos, level):
     The level set of r on C is in general unbounded; its vertices are
     the points where extreme rays with matching sign meet the level
     plane, and those are what the returned rational polytope spans.
-    Raises UnboundedSlice when no extreme ray meets the plane.
+    Raises UnboundedSlice when no extreme ray meets the plane, which
+    includes every cone that contains a line: such a level set has no
+    vertices.  Cones in more than polytope.MAX_AMBIENT_DIM dimensions
+    raise DimensionTooLarge.
     """
     if level not in (1, -1):
         raise ValueError("level must be +1 or -1")

@@ -2,15 +2,15 @@
 
 All matrices are sequences of row sequences; nothing here is sized for
 large inputs (ambient dimensions stay below 10 throughout the package),
-so the implementations favor exactness and clarity.  There are three
+so the implementations favor exactness and clarity.  There are two
 eliminations: one fraction-free (Bareiss) elimination over Q, from which
 ranks, pivot columns, determinants and primitive integer kernel rays are
 read in integers, and `rref` (its rows divided by the final pivot) for
-inverses, solutions and rational kernels; a textbook Smith normal form
-over Z, from which saturated integer kernels and lattice frames (a
-unimodular change of basis putting a set of integer vectors into
-saturated coordinates) are read; and a small Bland-rule simplex for
-feasibility questions.
+inverses and rational kernels; and a textbook Smith normal form over Z,
+from which saturated integer kernels and lattice frames (a unimodular
+change of basis putting a set of integer vectors into saturated
+coordinates) are read.  There is no simplex: cone questions go through
+exact hulls in `polytope`.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def rref(A):
     """Reduced row echelon form of A over Q: (rows, pivot_cols).
 
     rows are the nonzero rows of the form, as Fraction lists; row i has its
-    leading 1 in column pivot_cols[i].  Inverses, solutions and rational
-    kernels are read off this form; ranks, pivots, determinants and integer
+    leading 1 in column pivot_cols[i].  Inverses and rational kernels are
+    read off this form; ranks, pivots, determinants and integer
     kernels come straight from the fraction-free elimination underneath it.
     """
     M, pivot_cols, pivot, _sign, _scale = _bareiss(A)
@@ -116,18 +116,6 @@ def integer_inverse(A):
             raise ValueError("matrix is not unimodular")
         out.append([int(x) for x in row])
     return out
-
-
-def solve(A, b):
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    n = len(A[0]) if A else 0
-    rows, pivot_cols = rref([list(row) + [x] for row, x in zip(A, b)])
-    if n in pivot_cols:
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(rows, pivot_cols):
-        x[c] = row[n]
-    return tuple(x)
 
 
 def pivot_columns(A):
@@ -326,57 +314,3 @@ def nth_root_fraction(x, d):
     if rn**d == x.numerator and rd**d == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def lp_feasible(A, b):
-    """A nonnegative solution of A x = b, or None (exact phase-I simplex).
-
-    Bland's rule, so it terminates without perturbation; sized for the
-    handful-of-variables systems this package produces.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [[Fraction(v) for v in row] for row in A]
-    rhs = [Fraction(v) for v in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    width = n + m
-    T = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # phase-I objective: minimize the artificial sum; reduced-cost row
-    obj = [Fraction(0)] * (width + 1)
-    for j in range(width + 1):
-        obj[j] = (Fraction(1) if n <= j < width else Fraction(0)) - sum(T[i][j] for i in range(m))
-    while True:
-        entering = next((j for j in range(width) if obj[j] < 0), None)
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for i in range(m):
-            if T[i][entering] > 0:
-                ratio = T[i][width] / T[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            return None  # unbounded phase-I cannot happen; defensive
-        pivot = T[leaving][entering]
-        T[leaving] = [x / pivot for x in T[leaving]]
-        for i in range(m):
-            if i != leaving and T[i][entering] != 0:
-                factor = T[i][entering]
-                T[i] = [x - factor * y for x, y in zip(T[i], T[leaving])]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [x - factor * y for x, y in zip(obj, T[leaving] + [])]
-        basis[leaving] = entering
-    if -obj[width] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(basis):
-        if col < n:
-            x[col] = T[i][width]
-    return tuple(x)

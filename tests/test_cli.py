@@ -147,6 +147,16 @@ def test_markov_depth_six_contains_known_triples(capsys):
         assert expected in triples
 
 
+def test_markov_depth_cap_exits_4(capsys):
+    # each level doubles the triple count; the cap stops depth 40 early
+    start = time.perf_counter()
+    code, doc = run_cli(["markov", "--depth", "40"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert doc["status"] == "fail"
+    assert doc["payload"]["error"] == "ComplexityLimit"
+
+
 def test_mutate_replays_trace(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     trace.write_text(json.dumps([{"type": "cluster", "pivot": 1, "sign": -1, "factor": "x+1"}]))
@@ -266,6 +276,37 @@ def test_iv_mutate_without_expected(tmp_path, capsys):
     code, doc = run_cli(["iv-mutate", str(path)], capsys)
     assert code == 0
     assert "equivalent_to_expected" not in doc["payload"]
+
+
+IV_114 = {
+    "polytope": {"dim": 2, "vertices": [[-1, 2], [1, 2], [0, -1]]},
+    "r": [0, 1, 0],
+    "s_matrix": [[1, 0, 0], [0, 1, 1]],
+    "C1": [[-1, 1], [0, 1]],
+    "C2": [["1/2", "1/2"]],
+}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1],
+        {"polytope": [1]},
+        dict(IV_114, polytope={"dim": 2, "vertices": 5}),
+        dict(IV_114, r=5),
+        dict(IV_114, polytope={"dim": 2, "vertices": [["a", 0]]}),
+        dict(IV_114, C2=[["1/0", 1]]),
+        {key: value for key, value in IV_114.items() if key != "s_matrix"},
+    ],
+)
+def test_iv_mutate_malformed_data_is_shape_mismatch(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["iv-mutate", str(path)])
+    out = capsys.readouterr().out
+    doc = json.loads(out)  # exactly one JSON document
+    assert code == 2
+    assert doc["payload"]["error"] == "ShapeMismatch"
 
 
 def test_verify_minkowski_full_presentation(capsys):

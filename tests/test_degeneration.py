@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toriclg import constructions, degeneration, laurent, mutation, period, polytope
+from toriclg import constructions, degeneration, intlinalg, laurent, period, polytope
 from toriclg.degeneration import Cosection, PolyhedralCone, SliceDecomposition
 from toriclg.errors import (
     BadFactorization,
     DimensionMismatch,
+    DimensionTooLarge,
     InvalidCone,
     InvalidCosection,
     InvalidDecomposition,
@@ -92,6 +95,118 @@ def test_slice_prunes_redundant_generators():
     C = PolyhedralCone(3, ((0, 1, 1), (2, 1, 1), (1, 0, 1), (3, 1, 2)))
     high = degeneration.slice(C, cos, 1)
     assert set(high.vertices) == {(0, 2), (2, 2)}
+
+
+def _lp_feasible_oracle(A, b):
+    """A nonnegative solution of A x = b, or None: an exact phase-I simplex
+    with Bland's rule, used here only as an independent reference."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = [[Fraction(v) for v in row] for row in A]
+    rhs = [Fraction(v) for v in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    width = n + m
+    T = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # phase-I objective: minimize the artificial sum; reduced-cost row
+    obj = [(Fraction(1) if n <= j < width else Fraction(0)) - sum(T[i][j] for i in range(m)) for j in range(width + 1)]
+    while True:
+        entering = next((j for j in range(width) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = best = None
+        for i in range(m):
+            if T[i][entering] > 0:
+                ratio = T[i][width] / T[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        pivot = T[leaving][entering]
+        T[leaving] = [x / pivot for x in T[leaving]]
+        for i in range(m):
+            if i != leaving and T[i][entering] != 0:
+                factor = T[i][entering]
+                T[i] = [x - factor * y for x, y in zip(T[i], T[leaving])]
+        factor = obj[entering]
+        obj = [x - factor * y for x, y in zip(obj, T[leaving])]
+        basis[leaving] = entering
+    if obj[width] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, col in enumerate(basis):
+        if col < n:
+            x[col] = T[i][width]
+    return tuple(x)
+
+
+def _lp_extreme_oracle(C):
+    """Drop, one at a time, each generator lying in the cone of the rest."""
+    keep = list(C.generators)
+    i = 0
+    while i < len(keep):
+        others = keep[:i] + keep[i + 1:]
+        columns = [[q[k] for q in others] for k in range(C.dim_ambient)]
+        if others and _lp_feasible_oracle(columns, keep[i]) is not None:
+            keep.pop(i)
+        else:
+            i += 1
+    return keep
+
+
+@st.composite
+def pointed_cones(draw):
+    """Generators with a positive last coordinate, some sums of others added,
+    all mapped by a unimodular matrix; ambient dimension 2 to 6."""
+    n = draw(st.integers(2, 6))
+    small = st.integers(-2, 2)
+    gens = [
+        tuple(draw(small) for _ in range(n - 1)) + (draw(st.integers(1, 3)),)
+        for _ in range(draw(st.integers(1, n + 2)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        picked = draw(st.lists(st.sampled_from(gens), min_size=2, max_size=3))
+        gens.append(tuple(map(sum, zip(*picked))))
+    lower = [[1 if j == i else draw(small) * (j < i) for j in range(n)] for i in range(n)]
+    upper = [[1 if j == i else draw(small) * (j > i) for j in range(n)] for i in range(n)]
+    U = draw(st.permutations(intlinalg.mat_mul(lower, upper)))
+    return PolyhedralCone(n, tuple(intlinalg.mat_vec(U, g) for g in gens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pointed_cones())
+def test_extreme_generators_match_lp_pruning(C):
+    assert set(degeneration._extreme_generators(C)) == set(_lp_extreme_oracle(C))
+
+
+def test_cone_with_a_line_has_no_slice():
+    # the half-plane y >= 0: its level sets have no vertices
+    C = PolyhedralCone(2, ((1, 0), (-1, 0), (0, 1)))
+    assert degeneration._extreme_generators(C) == []
+    cos = Cosection((1, 0), ((0, 1),))
+    for level in (1, -1):
+        with pytest.raises(UnboundedSlice):
+            degeneration.slice(C, cos, level)
+
+
+def _cone_over_cross_polytope(n):
+    points = [tuple(s * int(k == i) for k in range(n)) for i in range(n) for s in (1, -1)]
+    C = degeneration.cone_over(polytope.convex_hull(points))
+    s_matrix = [[1] + [0] * n] + [[0, 0] + [int(k == i) for k in range(n - 1)] for i in range(n - 1)]
+    return C, Cosection((1, 1) + (0,) * (n - 1), s_matrix)
+
+
+def test_cone_over_5d_cross_polytope_slices():
+    C, cos = _cone_over_cross_polytope(5)
+    assert degeneration.slice(C, cos, 1).vertices == ((0, 0, 0, 0, 1), (1, 0, 0, 0, 1))
+    assert degeneration.slice(C, cos, -1).vertices == ((-1, 0, 0, 0, 1), (0, 0, 0, 0, 1))
+
+
+def test_cone_over_6d_cross_polytope_is_too_large():
+    C, cos = _cone_over_cross_polytope(6)
+    with pytest.raises(DimensionTooLarge):
+        degeneration.slice(C, cos, 1)
 
 
 def test_decomposition_roundtrip():

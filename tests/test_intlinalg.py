@@ -158,29 +158,6 @@ def test_nth_roots():
     assert la.nth_root_fraction(Fraction(4), 2) == 2
 
 
-def test_solve():
-    assert la.solve([[1, 1], [1, -1]], [2, 0]) == (1, 1)
-    assert la.solve([[1, 1], [2, 2]], [1, 3]) is None
-    sol = la.solve([[1, 2, 3]], [6])
-    assert sol is not None
-    assert sum(c * x for c, x in zip((1, 2, 3), sol)) == 6
-
-
-def test_lp_feasible():
-    assert la.lp_feasible([[1, 1]], [1]) is not None
-    assert la.lp_feasible([[1, 1]], [-1]) is None
-    # 2 = x1 - x2 with x >= 0 is feasible; forcing both signs wrong is not
-    sol = la.lp_feasible([[1, -1]], [2])
-    assert sol is not None
-    assert sol[0] - sol[1] == 2
-    assert la.lp_feasible([[1, 0], [1, 0]], [1, 2]) is None
-    # convex-combination membership: is (1,1) in conv{(0,0),(2,0),(0,2)}?
-    A = [[0, 2, 0], [0, 0, 2], [1, 1, 1]]
-    assert la.lp_feasible(A, [1, 1, 1]) is not None
-    # (3,3) is outside
-    assert la.lp_feasible(A, [3, 3, 1]) is None
-
-
 @settings(max_examples=100, deadline=None)
 @given(small_matrices())
 def test_rref_is_reduced_with_the_same_row_space(case):
@@ -216,25 +193,6 @@ def test_inverse_or_value_error_on_singular(case):
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert la.mat_mul(A, inv) == identity
     assert la.mat_mul(inv, A) == identity
-
-
-@settings(max_examples=100, deadline=None)
-@given(small_matrices(min_rows=1), st.data())
-def test_solve_solves_or_reports_inconsistency(case, data):
-    A, n = case
-    b = data.draw(st.lists(st.integers(-4, 4), min_size=len(A), max_size=len(A)))
-    if data.draw(st.booleans()):
-        # a right-hand side in the column space
-        x = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        b = list(la.mat_vec(A, x))
-    solution = la.solve(A, b)
-    augmented = [list(row) + [v] for row, v in zip(A, b)]
-    if minor_rank(augmented, n + 1) > minor_rank(A, n):
-        assert solution is None
-    else:
-        assert solution is not None and len(solution) == n
-        assert la.mat_vec(A, solution) == tuple(b)
-    assert (solution is None) == (la.rank(augmented) > la.rank(A))
 
 
 @settings(max_examples=100, deadline=None)
