@@ -6,10 +6,9 @@ so the implementations favor exactness and clarity.  There are two
 eliminations: one fraction-free (Bareiss) elimination over Q, from which
 ranks, pivot columns, determinants and primitive integer kernel rays are
 read in integers, and `rref` (its rows divided by the final pivot) for
-inverses and rational kernels; and a textbook Smith normal form over Z,
-from which saturated integer kernels and lattice frames (a unimodular
-change of basis putting a set of integer vectors into saturated
-coordinates) are read.  There is no simplex: cone questions go through
+inverses; and a textbook Smith normal form over Z, from which saturated
+integer kernels and lattice frames (a unimodular change of basis putting
+a set of integer vectors into saturated coordinates) are read.  There is no simplex: cone questions go through
 exact hulls in `polytope`.
 """
 
@@ -83,9 +82,9 @@ def rref(A):
     """Reduced row echelon form of A over Q: (rows, pivot_cols).
 
     rows are the nonzero rows of the form, as Fraction lists; row i has its
-    leading 1 in column pivot_cols[i].  Inverses and rational kernels are
-    read off this form; ranks, pivots, determinants and integer
-    kernels come straight from the fraction-free elimination underneath it.
+    leading 1 in column pivot_cols[i].  Inverses are read off this form;
+    ranks, pivots, determinants and integer kernels come straight from the
+    fraction-free elimination underneath it.
     """
     M, pivot_cols, pivot, _sign, _scale = _bareiss(A)
     return [[Fraction(x, pivot) for x in M[i]] for i in range(len(pivot_cols))], pivot_cols
@@ -128,26 +127,11 @@ def rank(A):
     return len(_bareiss(A)[1])
 
 
-def rational_kernel_basis(A, n):
-    """Basis of {x in Q^n : A x = 0}, one vector per free column of the
-    reduced form (1 there, 0 at the other free columns); A may have no rows."""
-    rows, pivot_cols = rref(A)
-    basis = []
-    for fc in range(n):
-        if fc in pivot_cols:
-            continue
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, pc in zip(rows, pivot_cols):
-            vec[pc] = -row[fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def kernel_rays(A, n):
     """Primitive integer vectors spanning {x in Q^n : A x = 0}, one per free
     column of the fraction-free form; each is a positive multiple of the
-    matching `rational_kernel_basis` vector.  A may have no rows."""
+    rational kernel vector with 1 at that column and 0 at the other free
+    columns.  A may have no rows."""
     M, pivot_cols, pivot, _sign, _scale = _bareiss(A)
     rays = []
     for fc in range(n):
@@ -250,6 +234,17 @@ def lattice_frame(vectors):
     D, U, _V = smith_normal_form(transpose(vectors))
     r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
     return U, integer_inverse(U), r
+
+
+def exact_int(x):
+    """x as an int if its exact value is one (1.0 and "3" pass); else ValueError."""
+    try:
+        q = Fraction(x)
+    except (OverflowError, ZeroDivisionError) as err:
+        raise ValueError("not an integer: %r" % (x,)) from err
+    if q.denominator != 1:
+        raise ValueError("not an integer: %r" % (x,))
+    return q.numerator
 
 
 def primitive_vector(v):

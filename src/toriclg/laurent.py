@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import intlinalg
 from .errors import (
+    ComplexityLimit,
     DimensionMismatch,
     DivisionByZero,
     NotDivisible,
@@ -21,7 +22,9 @@ from .errors import (
     ParseError,
 )
 
-Exponent = tuple  # tuple[int, ...]
+# term pairs one product may multiply; pow goes through mul, so this also
+# stops a power whose repeated squaring outgrows it
+MUL_TERM_PAIR_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -53,42 +56,11 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other, self)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other, self), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other, self))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return pow(self, k)
-
-    def __truediv__(self, other):
-        return exact_divide(self, _coerce(other, self))
-
     def __str__(self):
         return format(self)
 
     def __repr__(self):
         return f"LaurentPoly({format(self)!r}, vars={self.var_names})"
-
-
-def _coerce(value, like):
-    if isinstance(value, LaurentPoly):
-        return value
-    return constant(like.var_names, value)
 
 
 def _check_vars(p, q):
@@ -149,6 +121,9 @@ def scale(p, c):
 
 def mul(p, q):
     _check_vars(p, q)
+    pairs = len(p.terms) * len(q.terms)
+    if pairs > MUL_TERM_PAIR_CAP:
+        raise ComplexityLimit(f"a product of {pairs} term pairs exceeds the cap of {MUL_TERM_PAIR_CAP}")
     acc = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
@@ -449,18 +424,3 @@ def format(p):
             pieces.append(f"{' + ' if c > 0 else ' - '}{body}")
     return "".join(pieces)
 
-
-# --- JSON form -------------------------------------------------------------
-
-
-def to_json_dict(p):
-    return {
-        "vars": list(p.var_names),
-        "terms": [{"e": list(e), "c": str(p.terms[e])} for e in sorted(p.terms, reverse=True)],
-    }
-
-
-def from_json_dict(data):
-    names = tuple(data["vars"])
-    terms = {tuple(int(x) for x in item["e"]): Fraction(item["c"]) for item in data["terms"]}
-    return LaurentPoly(names, terms)

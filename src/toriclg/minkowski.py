@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import laurent, polytope
+from . import intlinalg, laurent, polytope
 from .errors import ComplexityLimit, FaceMismatch, ShapeMismatch
 
 # faces of dimension 3 are never decomposed; on a four-dimensional Newton
@@ -345,15 +345,16 @@ def presentation_to_json_dict(pres):
 
 
 def presentation_from_json_dict(data):
+    def point(v):
+        return tuple(intlinalg.exact_int(x) for x in v)
+
     try:
         assignments = []
         for entry in data["faces"]:
-            key = tuple(tuple(int(x) for x in v) for v in entry["face"])
-            summands = tuple(
-                polytope.convex_hull([tuple(int(x) for x in v) for v in Q]) for Q in entry["summands"]
-            )
+            key = tuple(point(v) for v in entry["face"])
+            summands = tuple(polytope.convex_hull([point(v) for v in Q]) for Q in entry["summands"])
             assignments.append((key, summands))
-        skipped = tuple(tuple(tuple(int(x) for x in v) for v in key) for key in data.get("skipped", ()))
+        skipped = tuple(tuple(point(v) for v in key) for key in data.get("skipped", ()))
         return MinkowskiPresentation(
             assignments=tuple(assignments), partial=bool(data.get("partial", False)), skipped=skipped
         )

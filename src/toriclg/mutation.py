@@ -56,13 +56,6 @@ class ToricChange:
         object.__setattr__(self, "scale", scale)
 
 
-@dataclass(frozen=True)
-class MutationTrace:
-    start: laurent.LaurentPoly
-    steps: tuple
-    end: laurent.LaurentPoly
-
-
 def identity_toric(n):
     return ToricChange(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n, (1,) * n)
 
@@ -83,18 +76,17 @@ def elementary_cluster(pivot, indices, var_names, sign=-1):
 
 def apply_cluster(f, change):
     """Transformed polynomial, or NotLaurent when a slice division is inexact."""
-    n = f.nvars
-    if not 0 <= change.pivot < n:
+    if not 0 <= change.pivot < f.nvars:
         raise InvalidChange("pivot index out of range for this polynomial")
     if change.factor.var_names != f.var_names:
         raise InvalidChange("factor is over different variables")
     pivot = change.pivot
     slices = {}
     for e, c in f.terms.items():
-        k = e[pivot]
-        stripped = e[:pivot] + (0,) + e[pivot + 1 :]
-        slices.setdefault(k, {})[stripped] = c
-    result = laurent.zero(f.var_names)
+        slices.setdefault(e[pivot], {})[e[:pivot] + (0,) + e[pivot + 1 :]] = c
+    # neither a slice nor the factor involves the pivot, so slice k's image
+    # is the only one at pivot exponent k and the images never overlap
+    result = {}
     powers = [laurent.one(f.var_names)]
     for k, terms in sorted(slices.items()):
         part = laurent.LaurentPoly(f.var_names, terms)
@@ -109,9 +101,8 @@ def apply_cluster(f, change):
                 part = laurent.exact_divide(part, power)
             except NotDivisible as err:
                 raise NotLaurent("cluster change leaves the Laurent ring: %s" % err) from err
-        shift = tuple(k if i == pivot else 0 for i in range(n))
-        result = laurent.add(result, laurent.mul(part, laurent.monomial(f.var_names, shift)))
-    return result
+        result.update((e[:pivot] + (k,) + e[pivot + 1 :], c) for e, c in part.terms.items())
+    return laurent.LaurentPoly(f.var_names, result)
 
 
 def apply_toric(f, change):
@@ -138,21 +129,6 @@ def apply_steps(start, steps):
         except NotLaurent as err:
             raise NotLaurent("step %d failed: %s" % (idx, err)) from err
     return stages
-
-
-def make_trace(start, steps):
-    steps = tuple(steps)
-    return MutationTrace(start, steps, apply_steps(start, steps)[-1])
-
-
-def replay(trace):
-    """Recompute the end polynomial from the recorded start and steps."""
-    return apply_steps(trace.start, trace.steps)[-1]
-
-
-def replay_intermediates(trace):
-    """Every stage of the replay, the start included."""
-    return apply_steps(trace.start, trace.steps)
 
 
 def _solve_scales(f, g, A, t):
@@ -269,14 +245,14 @@ def steps_from_json(data, var_names):
         try:
             if kind == "cluster":
                 factor = laurent.parse(entry["factor"], var_names)
-                steps.append(ClusterChange(int(entry["pivot"]), int(entry["sign"]), factor))
+                steps.append(ClusterChange(intlinalg.exact_int(entry["pivot"]), intlinalg.exact_int(entry["sign"]), factor))
             elif kind == "toric":
-                matrix = tuple(tuple(int(x) for x in row) for row in entry["A"])
-                shift = tuple(int(x) for x in entry.get("shift", (0,) * len(matrix)))
+                matrix = tuple(tuple(intlinalg.exact_int(x) for x in row) for row in entry["A"])
+                shift = tuple(intlinalg.exact_int(x) for x in entry.get("shift", (0,) * len(matrix)))
                 scale = tuple(Fraction(s) for s in entry.get("scale", (1,) * len(matrix)))
                 steps.append(ToricChange(matrix, shift, scale))
             else:
                 raise InvalidChange("unknown step type %r" % kind)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
             raise InvalidChange("step %d is malformed: %s" % (idx, err)) from err
     return steps

@@ -16,7 +16,7 @@ origin is added.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -27,7 +27,6 @@ from .errors import ZeroPolynomial
 @dataclass(frozen=True)
 class PeriodSequence:
     values: tuple
-    source_id: str = field(default="", compare=False)
 
     def __len__(self):
         return len(self.values)
@@ -66,7 +65,7 @@ def _prune_cuts(f):
     return cuts
 
 
-def period_sequence(f, N, source_id=""):
+def period_sequence(f, N):
     """a_0..a_N with a_i the constant term of f^i.
 
     The loop runs on g = L·f, where L is the lcm of the coefficient
@@ -99,10 +98,10 @@ def period_sequence(f, N, source_id=""):
             if c and all(sum(map(mul, a, e)) + remaining * b >= 0 for a, b in cuts)
         }
         values.append(Fraction(produced.get(origin, 0), L**i))
-    return PeriodSequence(tuple(values), source_id)
+    return PeriodSequence(tuple(values))
 
 
-def period_oracle(f, N, source_id=""):
+def period_oracle(f, N):
     """Same sequence by unpruned full expansion; test reference path."""
     _check_nonzero(f)
     if N < 0:
@@ -112,7 +111,7 @@ def period_oracle(f, N, source_id=""):
     for _ in range(N):
         power = laurent.mul(power, f)
         values.append(laurent.constant_term(power))
-    return PeriodSequence(tuple(values), source_id)
+    return PeriodSequence(tuple(values))
 
 
 def periods_equal(f, g, N):

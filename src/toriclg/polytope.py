@@ -275,15 +275,6 @@ def minkowski_sum(P, Q):
     return rational_hull(sums)
 
 
-def translate(P, t):
-    if len(t) != P.dim_ambient:
-        raise DimensionMismatch("shift has wrong length")
-    moved = [_vec_add(v, t) for v in P.vertices]
-    if is_lattice(P) and all(Fraction(x).denominator == 1 for x in t):
-        return convex_hull(moved)
-    return rational_hull(moved)
-
-
 def contains(P, x):
     if len(x) != P.dim_ambient:
         raise DimensionMismatch("point has wrong length")

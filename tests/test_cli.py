@@ -7,6 +7,9 @@ shapes, and exit codes at the same time.
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,6 +20,7 @@ from toriclg.constructions import catalog
 from toriclg.laurent import parse
 
 CATALOG = catalog()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 QUADRIC_F0 = "(x+1)^2/(x*y*z)+y+z"
 CUBIC4_F00 = "(x+1)^3/(x*y*z*t)+y+z+t"
@@ -309,6 +313,44 @@ def test_iv_mutate_malformed_data_is_shape_mismatch(tmp_path, capsys, data):
     assert doc["payload"]["error"] == "ShapeMismatch"
 
 
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["mutate", "x+y", "--trace"], [{"type": "cluster", "pivot": 1.9, "sign": 1, "factor": "x+1"}]),
+        (["mutate", "x+y", "--trace"], [{"type": "cluster", "pivot": 1, "sign": -0.5, "factor": "x+1"}]),
+        (["mutate", "x+y", "--trace"], [{"type": "toric", "A": [[1, 0.5], [0, 1]]}]),
+        (["mutate", "x+y", "--trace"], [{"type": "toric", "A": [[1, 0], [0, 1]], "shift": [0, 2.5]}]),
+        (["mutate", "x+y", "--trace"], [{"type": "toric", "A": [[1, float("inf")], [0, 1]]}]),
+        (["mutate", "x+y", "--trace"], [{"type": "toric", "A": [[1, 0], [0, 1]], "scale": [float("inf"), 1]}]),
+        (["verify-minkowski", "--poly", "x+1", "--presentation"], {"faces": [{"face": [[0.4], [1]], "summands": [[[0], [1]]]}]}),
+        (["verify-minkowski", "--poly", "x+1", "--presentation"], {"faces": [{"face": [[0], [1]], "summands": [[[0], [1.7]]]}]}),
+        (["verify-minkowski", "--poly", "x+1", "--presentation"], {"faces": [{"face": [[float("inf")]], "summands": []}]}),
+        (["iv-mutate"], dict(IV_114, r=[0, 1.9, 0])),
+        (["iv-mutate"], dict(IV_114, s_matrix=[[1, 0, 0], [0, 1, 0.5]])),
+        (["iv-mutate"], dict(IV_114, r=[0, "1/2", 0])),
+    ],
+)
+def test_non_integral_numbers_in_integer_fields_exit_2(tmp_path, capsys, argv, data):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    code = main(argv + [str(path)])
+    doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 2
+    assert doc["status"] == "fail"
+    assert doc["payload"]["error"] in ("InvalidChange", "ShapeMismatch")
+
+
+def test_integral_floats_in_integer_fields_are_accepted(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([{"type": "toric", "A": [[1.0, 0], [0, 1]], "shift": [2.0, 0]}]))
+    code, doc = run_cli(["mutate", "x+y", "--trace", str(trace)], capsys)
+    assert code == 0
+    assert doc["payload"]["result"] == "x^3 + x^2*y"
+    data = tmp_path / "iv.json"
+    data.write_text(json.dumps(dict(IV_114, r=[0, 1.0, 0])))
+    assert run_cli(["iv-mutate", str(data)], capsys)[0] == 0
+
+
 def test_verify_minkowski_full_presentation(capsys):
     code, doc = run_cli(["verify-minkowski", "--poly", QUADRIC_F0], capsys)
     assert code == 0
@@ -401,3 +443,37 @@ def test_deeply_nested_parentheses_are_a_parse_error(capsys):
     assert code == 2
     assert doc["payload"]["error"] == "ParseError"
     assert "position 100" in doc["payload"]["message"]
+
+
+def test_large_power_hits_the_product_cap(capsys):
+    start = time.perf_counter()
+    code, doc = run_cli(["period", "(x+y+1)^400", "--n", "2"], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["markov", "--depth", "3"], ["catalog", "--all"]])
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toriclg.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ")
+
+
+def test_benchmark_self_test_passes():
+    # the benchmark imports library names; a deleted one would crash its worker
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--self-test"], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_nonzero_poly
+from conftest import poly_strategy, random_nonzero_poly
 from toriclg import laurent, mutation, period
 from toriclg.errors import InvalidChange, NotDivisible, NotLaurent, NotUnimodular
 
@@ -134,6 +136,66 @@ def test_cluster_matches_per_slice_powers():
     assert outcomes == {"Laurent", "not Laurent"}
 
 
+def _apply_cluster_oracle(f, change):
+    """Reference cluster change: every slice's image times pivot^k, added to
+    a running result with laurent.add, laurent.mul and laurent.monomial."""
+    n = f.nvars
+    pivot = change.pivot
+    slices = {}
+    for e, c in f.terms.items():
+        slices.setdefault(e[pivot], {})[e[:pivot] + (0,) + e[pivot + 1 :]] = c
+    result = laurent.zero(f.var_names)
+    powers = [laurent.one(f.var_names)]
+    for k, terms in sorted(slices.items()):
+        part = laurent.LaurentPoly(f.var_names, terms)
+        exponent = -change.sign * k
+        while len(powers) <= abs(exponent):
+            powers.append(laurent.mul(powers[-1], change.factor))
+        power = powers[abs(exponent)]
+        if exponent >= 0:
+            part = laurent.mul(part, power)
+        else:
+            try:
+                part = laurent.exact_divide(part, power)
+            except NotDivisible as err:
+                raise NotLaurent(str(err)) from err
+        shift = tuple(k if i == pivot else 0 for i in range(n))
+        result = laurent.add(result, laurent.mul(part, laurent.monomial(f.var_names, shift)))
+    return result
+
+
+@st.composite
+def cluster_cases(draw):
+    """(f, pivot, factor): f in 2 to 4 variables, factor nonzero and free of the pivot."""
+    nvars = draw(st.integers(2, 4))
+    pivot = draw(st.integers(0, nvars - 1))
+    f = draw(poly_strategy(nvars, max_terms=6, exp_bound=3, nonzero=True))
+    factors = poly_strategy(nvars, max_terms=3, exp_bound=1).map(lambda p: _at_pivot(p, pivot, 0))
+    return f, pivot, draw(factors.filter(lambda p: not p.is_zero()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cluster_cases())
+def test_apply_cluster_matches_the_add_mul_oracle(case):
+    f, pivot, factor = case
+    plus = mutation.ClusterChange(pivot, 1, factor)
+    minus = mutation.ClusterChange(pivot, -1, factor)
+    # sign +1 divides the slices above the pivot; both paths agree or both fail
+    try:
+        expected = _apply_cluster_oracle(f, plus)
+    except NotLaurent:
+        with pytest.raises(NotLaurent):
+            mutation.apply_cluster(f, plus)
+    else:
+        assert mutation.apply_cluster(f, plus) == expected
+    # with every pivot exponent <= 0, sign +1 only multiplies and sign -1
+    # then divides its image exactly, back to the start
+    low = laurent.LaurentPoly(f.var_names, {e[:pivot] + (-abs(e[pivot]),) + e[pivot + 1 :]: c for e, c in f.terms.items()})
+    image = mutation.apply_cluster(low, plus)
+    assert image == _apply_cluster_oracle(low, plus)
+    assert mutation.apply_cluster(image, minus) == _apply_cluster_oracle(image, minus) == low
+
+
 def test_toric_change_validation():
     with pytest.raises(NotUnimodular):
         mutation.ToricChange(((2, 0), (0, 1)), (0, 0), (1, 1))
@@ -239,11 +301,9 @@ def test_cubic_fourfold_trace():
         mutation.elementary_cluster(2, [0, 1], V4),
         mutation.elementary_cluster(3, [0, 1], V4),
     ]
-    trace = mutation.make_trace(f00, steps)
+    stages = mutation.apply_steps(f00, steps)
     f11 = laurent.parse("(x+y+1)/(x*y*z*t)+z*(x+y+1)+t*(x+y+1)")
-    assert trace.end == f11
-    assert mutation.replay(trace) == f11
-    stages = mutation.replay_intermediates(trace)
+    assert len(stages) == 3
     assert stages[0] == f00
     assert stages[1] == laurent.parse("(x+y+1)^2/(x*y*z*t)+z*(x+y+1)+t")
     assert stages[2] == f11
@@ -265,9 +325,7 @@ def test_p3_chain_to_third_model():
 
 def test_empty_trace_and_error_index():
     f = laurent.parse("x + y + 1/(x*y)")
-    trace = mutation.make_trace(f, [])
-    assert trace.end == f
-    assert mutation.replay(trace) == f
+    assert mutation.apply_steps(f, []) == [f]
 
     bad = [
         mutation.elementary_cluster(1, [0], V3, sign=1),
@@ -275,7 +333,7 @@ def test_empty_trace_and_error_index():
     ]
     f3 = laurent.parse("1/y + x", V3)
     with pytest.raises(NotLaurent) as err:
-        mutation.make_trace(f3, [bad[1]])
+        mutation.apply_steps(f3, [bad[1]])
     assert "step 0" in str(err.value)
 
 

@@ -90,14 +90,6 @@ def test_zero_polynomial_rejected():
         period.period_oracle(laurent.zero(("x",)), 3)
 
 
-def test_sequence_labels_do_not_affect_equality():
-    f = laurent.parse("x + y + 1/(x*y)")
-    a = period.period_sequence(f, 4, source_id="one")
-    b = period.period_sequence(f, 4, source_id="two")
-    assert a == b
-    assert a.values == b.values
-
-
 def test_rational_coefficients_stay_exact():
     f = laurent.LaurentPoly(("x", "y"), {(1, 0): Fraction(1, 2), (-1, 0): Fraction(2), (0, 1): Fraction(1), (0, -1): Fraction(1)})
     seq = period.period_sequence(f, 4)
