@@ -32,6 +32,14 @@ class CommandResult:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    # argparse's own printers swallow OSError; a closed stdout must reach
+    # main's BrokenPipeError handler instead
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+    def print_usage(self, file=None):
+        (file or sys.stdout).write(self.format_usage())
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
@@ -56,14 +64,15 @@ def _poly(value, var_names=None):
 
 
 def _poly_pair(a_value, b_value):
-    """Parse two expressions over one shared variable tuple."""
+    """Each expression parsed once, both over the first's names then the second's new ones."""
     first = _poly(a_value)
     second = _poly(b_value)
-    names = list(first.var_names)
-    for name in second.var_names:
-        if name not in names:
-            names.append(name)
-    return _poly(a_value, tuple(names)), _poly(b_value, tuple(names))
+    names = first.var_names + tuple(v for v in second.var_names if v not in first.var_names)
+    pad = (0,) * (len(names) - first.nvars)
+    at = {v: i for i, v in enumerate(second.var_names)}
+    moved = {tuple(e[at[v]] if v in at else 0 for v in names): c for e, c in second.terms.items()}
+    padded = {e + pad: c for e, c in first.terms.items()}
+    return laurent.LaurentPoly(names, padded), laurent.LaurentPoly(names, moved)
 
 
 def _approx(node):

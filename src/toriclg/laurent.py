@@ -108,10 +108,6 @@ def neg(p):
     return LaurentPoly(p.var_names, {e: -c for e, c in p.terms.items()})
 
 
-def sub(p, q):
-    return add(p, neg(q))
-
-
 def scale(p, c):
     c = Fraction(c)
     if c == 0:

@@ -133,7 +133,14 @@ def apply_steps(start, steps):
 
 def _solve_scales(f, g, A, t):
     """Per-variable scalings making exponent map e -> A e + t carry f onto g,
-    or None. Solved multiplicatively through the Smith form of the support."""
+    or None.
+
+    Term e asks prod_j s_j^e_j = r_e.  Independent exponent rows, put in a
+    unimodular frame when they do not span (the frame's free coordinates
+    are then 1), form a square H; each scale's magnitude is one exact
+    |det H|-th root of a product of powers of the |r_e|.  The signs solve
+    every term's parity equation over GF(2).  Every term is checked last.
+    """
     n = f.nvars
     image = {}
     for e, c in f.terms.items():
@@ -147,28 +154,36 @@ def _solve_scales(f, g, A, t):
         e, c = image[target]
         exponents.append(list(e))
         ratios.append(g.terms[target] / c)
-    m = len(exponents)
-    D, U, V = intlinalg.smith_normal_form(exponents)
-    transformed = []
-    for i in range(m):
-        value = Fraction(1)
-        for j in range(m):
-            if U[i][j]:
-                value *= ratios[j] ** U[i][j]
-        transformed.append(value)
-    y = [Fraction(1)] * n
-    for i in range(m):
-        d = D[i][i] if i < n else 0
-        if d != 0:
-            root = intlinalg.nth_root_fraction(transformed[i], abs(d))
-            if root is None:
-                return None
-            y[i] = root if d > 0 else Fraction(1) / root
-        elif transformed[i] != 1:
+    rows = intlinalg.pivot_columns(intlinalg.transpose(exponents))
+    k = len(rows)
+    B = [exponents[i] for i in rows]
+    frame = intlinalg.lattice_frame(B)[0][:k] if 0 < k < n else intlinalg.identity(n)[:k]
+    H = [intlinalg.mat_vec(frame, b) for b in B]
+    D = abs(intlinalg.det(H))
+    z = []
+    for row in intlinalg.matrix_inverse(H):
+        power = _product(abs(ratios[i]) ** int(D * x) for i, x in zip(rows, row) if x)
+        root = intlinalg.nth_root_fraction(power, int(D))
+        if root is None:
             return None
-    scales = tuple(
-        _product(y[k] ** V[j][k] for k in range(n) if V[j][k]) for j in range(n)
-    )
+        z.append(root)
+    # a row's bits are e mod 2 and, as bit n, [r_e < 0]; its lowest bit pivots
+    basis = []
+    for e, r in zip(exponents, ratios):
+        row = sum(1 << j for j in range(n) if e[j] % 2) | (r < 0) << n
+        for b in basis:
+            if row & b & -b:
+                row ^= b
+        if row == 1 << n:
+            return None
+        if row:
+            basis.append(row)
+    signs = 0
+    for b in reversed(basis):
+        if (b & (signs | 1 << n)).bit_count() % 2:
+            signs |= b & -b
+    magnitudes = [_product(x ** u[j] for x, u in zip(z, frame) if u[j]) for j in range(n)]
+    scales = tuple(-x if signs >> j & 1 else x for j, x in enumerate(magnitudes))
     for e, c in f.terms.items():
         target = tuple(sum(A[i][j] * e[j] for j in range(n)) + t[i] for i in range(n))
         value = c

@@ -116,6 +116,48 @@ def test_equiv_negative_is_fail(capsys):
     assert doc["payload"]["equivalent"] is False
 
 
+# negative 3-D 6-vertex pairs of the mutation benchmark whose scales took
+# seconds to minutes through powers of the support's Smith transform
+SLOW_SCALE_PAIRS = [
+    (
+        "x^3*y*z^2 + x^3*y^-1*z^2 + x^2*y^-3*z^-1 + x*y^2*z^-3 + x^-1*y^-2*z^-3 + x^-3*y*z^-2",
+        "-1/8*x^3*y^-5*z^-2 - 8*x*y*z^2 - 8*x*y^-1*z^2 + 1/2*y^-3*z^-3 - 28*x^-1*z^-1 + 2*x^-2*y^-7*z^-3",
+    ),
+    (
+        "x^3*y^2*z + x^3*y^-2*z + x*y^-3*z^2 + x^-1*y^3*z^2 + x^-2*y^-1*z^-3 + x^-3*y^2*z",
+        "-7/16*x^4*y^-6*z^-4 + 1/32*x^3*y^-7*z^-2 - 2*x^2*y^-1*z^3 + 32*x^-1*y^3*z^2 + 1/2*x^-1*y^-3*z^2 - 16*x^-2*y^2*z^2",
+    ),
+]
+
+
+@pytest.mark.parametrize("first, second", SLOW_SCALE_PAIRS)
+def test_equiv_negative_with_scales_is_fast(first, second, capsys):
+    start = time.perf_counter()
+    code, doc = run_cli(["equiv", first, second], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["payload"] == {"equivalent": False}
+
+
+def test_equiv_positive_with_scales_has_witness(capsys):
+    first = parse(SLOW_SCALE_PAIRS[0][0])
+    change = mutation.ToricChange(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0), (2, "-1/2", 2))
+    second = mutation.apply_toric(first, change)
+    start = time.perf_counter()
+    code, doc = run_cli(["equiv", SLOW_SCALE_PAIRS[0][0], str(second)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    witness = mutation.steps_from_json([doc["payload"]["witness"]], first.var_names)[0]
+    assert mutation.apply_toric(first, witness) == second
+
+
+def test_equiv_reads_the_first_expression_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("x+y"))
+    code, doc = run_cli(["equiv", "-", "y+2*x*z"], capsys)
+    assert code == 0
+    assert doc["payload"]["equivalent"] is True
+
+
 def test_hori_vafa_matches_catalog(capsys):
     code, doc = run_cli(["hori-vafa", "--N", "4", "--degrees", "3"], capsys)
     assert code == 0
@@ -454,7 +496,7 @@ def test_large_power_hits_the_product_cap(capsys):
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("argv", [["markov", "--depth", "3"], ["catalog", "--all"]])
+@pytest.mark.parametrize("argv", [["markov", "--depth", "3"], ["catalog", "--all"], ["--help"], ["equiv", "--help"]])
 def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)

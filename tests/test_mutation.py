@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_strategy, random_nonzero_poly
-from toriclg import laurent, mutation, period
+from conftest import VAR_POOL, poly_strategy, random_nonzero_poly
+from toriclg import intlinalg, laurent, mutation, period
 from toriclg.errors import InvalidChange, NotDivisible, NotLaurent, NotUnimodular
 
 V3 = ("x", "y", "z")
@@ -267,6 +267,13 @@ def test_equivalent_up_to_toric_lower_dimensional_support():
     assert w is not None
     assert mutation.apply_toric(f, w) == g
     assert mutation.equivalent_up_to_toric(f, laurent.parse("x^2*y^2 + 2/(x^2*y^2)")) is None
+    # B = [[2, 3]] with ratio 2: x = 1/2, y = 2 solves it, but y = 1 would
+    # leave x^2 = 2, so the free coordinate is set only after a column change
+    f = laurent.parse("x^2*y^3 + x^-2*y^-3")
+    g = laurent.parse("2*x^2*y^3 + 1/2*x^-2*y^-3")
+    w = mutation.equivalent_up_to_toric(f, g)
+    assert w is not None
+    assert mutation.apply_toric(f, w) == g
 
 
 def test_equivalence_negative():
@@ -293,6 +300,94 @@ def test_equivalence_with_scales():
     w = mutation.equivalent_up_to_toric(f, g)
     assert w is not None
     assert mutation.apply_toric(f, w) == g
+
+
+def _solve_scales_smith_oracle(f, g, A, t):
+    """Reference scale solve: the Smith form U E V = D of the whole support
+    E, with the ratios raised to the entries of the row transform U."""
+    n = f.nvars
+    image = {}
+    for e, c in f.terms.items():
+        target = tuple(sum(A[i][j] * e[j] for j in range(n)) + t[i] for i in range(n))
+        image[target] = (e, c)
+    if set(image) != set(g.terms):
+        return None
+    exponents = []
+    ratios = []
+    for target in sorted(image):
+        e, c = image[target]
+        exponents.append(list(e))
+        ratios.append(g.terms[target] / c)
+    m = len(exponents)
+    D, U, V = intlinalg.smith_normal_form(exponents)
+    transformed = []
+    for i in range(m):
+        value = Fraction(1)
+        for j in range(m):
+            if U[i][j]:
+                value *= ratios[j] ** U[i][j]
+        transformed.append(value)
+    y = [Fraction(1)] * n
+    for i in range(m):
+        d = D[i][i] if i < n else 0
+        if d != 0:
+            root = intlinalg.nth_root_fraction(transformed[i], abs(d))
+            if root is None:
+                return None
+            y[i] = root if d > 0 else Fraction(1) / root
+        elif transformed[i] != 1:
+            return None
+    scales = []
+    for j in range(n):
+        value = Fraction(1)
+        for k in range(n):
+            if V[j][k]:
+                value *= y[k] ** V[j][k]
+        scales.append(value)
+    for e, c in f.terms.items():
+        target = tuple(sum(A[i][j] * e[j] for j in range(n)) + t[i] for i in range(n))
+        value = c
+        for j in range(n):
+            if e[j]:
+                value *= scales[j] ** e[j]
+        if g.terms[target] != value:
+            return None
+    return tuple(scales)
+
+
+@st.composite
+def scale_cases(draw):
+    """(f, g, A, t): g is f's image under A, t and random scales, or that
+    image with one coefficient times 7 or one sign flipped."""
+    n = draw(st.integers(1, 4))
+    exponents = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=2, max_size=6, unique=True))
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 5)])
+    f = laurent.LaurentPoly(VAR_POOL[:n], {e: draw(coeffs) for e in exponents})
+    A = intlinalg.identity(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            q = draw(st.integers(-2, 2))
+            A[i] = [a + q * b for a, b in zip(A[i], A[j])]
+    if draw(st.booleans()):
+        A[0] = [-a for a in A[0]]
+    t = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    values = [Fraction(x) for x in (1, -1, 2, -2, "1/2", "-1/2", 3, -3)]
+    scales = draw(st.tuples(*[st.sampled_from(values)] * n))
+    g = dict(mutation.apply_toric(f, mutation.ToricChange(A, t, scales)).terms)
+    key = draw(st.sampled_from(sorted(g)))
+    g[key] *= draw(st.sampled_from([1, 7, -1]))
+    return f, laurent.LaurentPoly(f.var_names, g), A, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale_cases())
+def test_solve_scales_matches_the_smith_oracle(case):
+    f, g, A, t = case
+    scales = mutation._solve_scales(f, g, A, t)
+    assert (scales is None) == (_solve_scales_smith_oracle(f, g, A, t) is None)
+    if scales is not None:
+        assert mutation.apply_toric(f, mutation.ToricChange(A, t, scales)) == g
 
 
 def test_cubic_fourfold_trace():
