@@ -222,9 +222,9 @@ def _iv_mutate_data(data):
         delta = polytope.polytope_from_json(data["polytope"])
         r = tuple(intlinalg.exact_int(x) for x in data["r"])
         cos = Cosection(r, tuple(tuple(intlinalg.exact_int(x) for x in row) for row in data["s_matrix"]))
-        dec = SliceDecomposition(polytope.rational_hull(data["C1"]), polytope.rational_hull(data["C2"]))
+        dec = SliceDecomposition(polytope.convex_hull(data["C1"]), polytope.convex_hull(data["C2"]))
         expected = polytope.polytope_from_json(data["expected"]) if "expected" in data else None
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ShapeMismatch("malformed iv-mutate data: %s" % exc)
     return delta, cos, dec, expected
 

@@ -16,6 +16,9 @@ from .errors import ComplexityLimit, CoordinateSearchFailed, NotFano, NotMarkov,
 # depth d holds 2^(d-1) + 1 triples and their entries grow without bound,
 # so the tree stops well before its output reaches gigabytes (depth 14 fits)
 MARKOV_TRIPLE_CAP = 10_000
+# each variable is added to the model with exponents as long as the
+# variable count, so time and memory grow with the square of that count
+HORI_VAFA_VARIABLE_CAP = 200
 
 _VAR_POOL = ("x", "y", "z", "t", "u", "v")
 
@@ -63,12 +66,15 @@ def hori_vafa(spec):
     One block of d_j - 1 variables per hypersurface and index - 1 free
     variables; the product of (block sum + 1)^d_j is divided by the
     product of all variables and the free variables are added.  Raises
-    NotFano when the index is not positive.
+    NotFano when the index is not positive, ComplexityLimit above
+    HORI_VAFA_VARIABLE_CAP variables.
     """
     d0 = spec.index
     if d0 < 1:
         raise NotFano("index %d is not positive" % d0)
     n = spec.dim
+    if n > HORI_VAFA_VARIABLE_CAP:
+        raise ComplexityLimit("model has %d variables, more than %d" % (n, HORI_VAFA_VARIABLE_CAP))
     names = variable_names(n)
     f = laurent.one(names)
     pos = 0
@@ -167,8 +173,7 @@ def triangle_weights(P):
     if not polytope.is_primitive(P):
         raise NotWeightedTriangle("vertices are not primitive lattice vectors")
     v1, v2, v3 = P.vertices
-    rows = [[int(v1[i]), int(v2[i]), int(v3[i])] for i in range(len(v1))]
-    kernel = intlinalg.integer_kernel_basis(rows)
+    kernel = intlinalg.kernel_rays(list(zip(v1, v2, v3)), 3)
     if len(kernel) != 1:
         raise NotWeightedTriangle("vertices admit no one-dimensional relation")
     w = list(kernel[0])

@@ -163,10 +163,10 @@ def slice(C, cos, level):
         value = sum(ri * qi for ri, qi in zip(cos.r, q))
         if value != 0 and (value > 0) == (level > 0):
             scale = Fraction(level, value)
-            hits.append(tuple(Fraction(x) * scale for x in q))
+            hits.append(tuple(x * scale for x in q))
     if not hits:
         raise UnboundedSlice("no extreme ray meets level %+d of r" % level)
-    return polytope.rational_hull([cos.project(p) for p in hits])
+    return polytope.convex_hull([cos.project(p) for p in hits])
 
 
 def _is_lattice_point(v):
@@ -200,17 +200,17 @@ def _recession_directions(delta, cos):
     pts = []
     for v in delta.vertices:
         if sum(a * b for a, b in zip(r0, v)) == 0:
-            pts.append(tuple(Fraction(x) for x in v))
+            pts.append(v)
     for e in polytope.edges(delta):
         a, b = e.vertices
         va = sum(p * q for p, q in zip(r0, a))
         vb = sum(p * q for p, q in zip(r0, b))
         if (va > 0 and vb < 0) or (va < 0 and vb > 0):
             t = Fraction(-va, vb - va)
-            pts.append(tuple(Fraction(a[i]) + t * (b[i] - a[i]) for i in range(len(a))))
+            pts.append(tuple(a[i] + t * (b[i] - a[i]) for i in range(len(a))))
     if not pts:
         return []
-    section = polytope.rational_hull(pts)
+    section = polytope.convex_hull(pts)
     rays = set()
     for v in section.vertices:
         lifted = intlinalg.rational_ray_to_primitive(tuple(v) + (1,))
@@ -265,10 +265,10 @@ def mutate_polytope(delta, cos, dec):
         u = p[:-1]
         coords = [sum(row[i] * u[i] for i in range(len(u))) for row in basis[:-1]]
         out.append(tuple(coords) + (p[-1],))
-    Q = polytope.rational_hull(out)
+    Q = polytope.convex_hull(out)
     if not polytope.is_lattice(Q):
         raise NotLattice("mutated polytope has a non-integral vertex")
-    return polytope.to_lattice(Q)
+    return Q
 
 
 def factor_mutation(f, pivot, f1, f2):
@@ -315,8 +315,8 @@ def weighted_plane_114():
     half-integral point mutates it to the standard plane triangle."""
     delta = polytope.convex_hull([(-1, 2), (1, 2), (0, -1)])
     cos = Cosection((0, 1, 0), ((1, 0, 0), (0, 1, 1)))
-    c1 = polytope.rational_hull([(-1, 1), (0, 1)])
-    c2 = polytope.rational_hull([(Fraction(1, 2), Fraction(1, 2))])
+    c1 = polytope.convex_hull([(-1, 1), (0, 1)])
+    c2 = polytope.convex_hull([(Fraction(1, 2), Fraction(1, 2))])
     expected = polytope.convex_hull([(-1, 1), (0, 1), (1, -2)])
     return MutationScenario("p114", delta, cos, SliceDecomposition(c1, c2), expected)
 
@@ -327,7 +327,7 @@ def weighted_plane_112():
     the triangle to the smooth quadric quadrilateral."""
     delta = polytope.convex_hull([(-1, 1), (1, 1), (0, -1)])
     cos = Cosection((0, 1, 0), ((1, 0, 0), (0, 1, 1)))
-    c1 = polytope.rational_hull([(-1, 1), (0, 1)])
-    c2 = polytope.rational_hull([(0, 1), (1, 1)])
+    c1 = polytope.convex_hull([(-1, 1), (0, 1)])
+    c2 = polytope.convex_hull([(0, 1), (1, 1)])
     expected = polytope.convex_hull([(-1, 1), (0, 1), (1, -1), (0, -1)])
     return MutationScenario("p112", delta, cos, SliceDecomposition(c1, c2), expected)

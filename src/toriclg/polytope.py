@@ -37,7 +37,11 @@ MAX_EQUIVALENCE_TUPLES = 100_000
 
 @dataclass(frozen=True)
 class Polytope:
-    """A lattice or rational polytope; is_lattice tells which."""
+    """A lattice or rational polytope, as built by convex_hull.
+
+    The vertices are int tuples exactly when every vertex is integral (a
+    lattice polytope, see is_lattice), else Fraction tuples; the facet and
+    equality offsets are int or Fraction along with them."""
 
     dim_ambient: int
     vertices: tuple
@@ -179,7 +183,7 @@ def _hull_coords(coords, d, basis_idx):
     return sorted({(n, b) for n, b, _verts in simplices})
 
 
-def _build(points, rational):
+def _build(points):
     """Hull of the points, all facet and vertex work in integer coordinates.
 
     The points independent of the ones before them (pivot columns of the
@@ -188,8 +192,10 @@ def _build(points, rational):
     hull projects one-to-one; a point's coordinates are its difference
     restricted to those axes, times the lcm of their denominators.  A facet
     normal there is the ambient normal written on the axes, zero elsewhere.
-    rational picks Fraction vertices and offsets instead of int ones."""
-    entry = Fraction if rational else int
+    All-int points are read as int, any other entry makes every entry a
+    Fraction; vertices come back as int exactly when all are integral, and
+    the offsets, taken at vertices, follow their type."""
+    entry = int if all(isinstance(x, int) for p in points for x in p) else Fraction
     cleaned = sorted({tuple(entry(x) for x in p) for p in points})
     n = len(cleaned[0])
     if any(len(p) != n for p in cleaned):
@@ -205,7 +211,7 @@ def _build(points, rational):
     axes = intlinalg.pivot_columns(basis)
     d = len(axes)
     coords = [tuple(diff[a] for a in axes) for diff in diffs]
-    if rational:
+    if entry is Fraction:
         scale = math.lcm(*(x.denominator for c in coords for x in c))
         coords = [tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords]
     facets_aff = _hull_coords(coords, d, basis_idx)
@@ -217,6 +223,8 @@ def _build(points, rational):
         tight = [n_aff for n_aff, b in facets_aff if _dot(n_aff, c) == b]
         if len(tight) >= d and intlinalg.rank(tight) == d:
             verts.append(p)
+    if all(x.denominator == 1 for v in verts for x in v):
+        verts = [tuple(int(x) for x in v) for v in verts]
     normals = [tuple(dict(zip(axes, n_aff)).get(k, 0) for k in range(n)) for n_aff, _b in facets_aff]
     facets = tuple(sorted((u, max(_dot(u, v) for v in verts)) for u in normals))
     equalities = []
@@ -224,38 +232,22 @@ def _build(points, rational):
     for normal in intlinalg.kernel_rays(basis, n):
         if next(x for x in normal if x != 0) < 0:
             normal = tuple(-x for x in normal)
-        equalities.append((normal, _dot(normal, base)))
+        equalities.append((normal, _dot(normal, verts[0])))
     return Polytope(n, tuple(verts), facets, tuple(sorted(equalities)), d)
 
 
 def convex_hull(points):
-    """Lattice polytope spanned by integer points; exact facet description."""
+    """Polytope spanned by exact rational points (int, Fraction, or anything
+    Fraction reads exactly); exact facet description.  The vertices are int
+    tuples exactly when every vertex is integral, else Fraction tuples."""
     pts = list(points)
     if not pts:
         raise EmptyInput("no points given")
-    for p in pts:
-        for x in p:
-            if Fraction(x).denominator != 1:
-                raise NotLattice("non-integer point %r" % (p,))
-    return _build(pts, rational=False)
-
-
-def rational_hull(points):
-    """Rational polytope spanned by exact rational points."""
-    pts = list(points)
-    if not pts:
-        raise EmptyInput("no points given")
-    return _build(pts, rational=True)
+    return _build(pts)
 
 
 def is_lattice(P):
     return all(Fraction(x).denominator == 1 for v in P.vertices for x in v)
-
-
-def to_lattice(P):
-    if not is_lattice(P):
-        raise NotLattice("polytope has non-integer vertices")
-    return convex_hull([tuple(int(x) for x in v) for v in P.vertices])
 
 
 def newton_polytope(p):
@@ -269,10 +261,7 @@ def minkowski_sum(P, Q):
     """Pointwise sum polytope; hull of pairwise vertex sums."""
     if P.dim_ambient != Q.dim_ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    sums = [_vec_add(v, w) for v in P.vertices for w in Q.vertices]
-    if is_lattice(P) and is_lattice(Q):
-        return convex_hull(sums)
-    return rational_hull(sums)
+    return convex_hull([_vec_add(v, w) for v in P.vertices for w in Q.vertices])
 
 
 def contains(P, x):
@@ -385,15 +374,7 @@ def edge_lattice_length(e):
 
 def is_primitive(P):
     """True when every vertex is a primitive integer vector."""
-    for v in P.vertices:
-        g = 0
-        for x in v:
-            if Fraction(x).denominator != 1:
-                return False
-            g = math.gcd(g, abs(int(x)))
-        if g != 1:
-            return False
-    return True
+    return is_lattice(P) and all(math.gcd(*v) == 1 for v in P.vertices)
 
 
 def _angle_key_pairs(vectors):
@@ -456,7 +437,7 @@ def _frame_coords(points):
     """(U, U_inv, coords) for integer points: the lattice frame of their
     differences to points[0] and each point's integer coordinates in the
     saturated basis, the first r columns of U_inv."""
-    diffs = [tuple(int(x) for x in _vec_sub(p, points[0])) for p in points]
+    diffs = [_vec_sub(p, points[0]) for p in points]
     U, U_inv, r = intlinalg.lattice_frame(diffs)
     return U, U_inv, [intlinalg.mat_vec(U[:r], diff) for diff in diffs]
 
@@ -507,7 +488,7 @@ def polygon_minkowski_decompositions(P):
     n = P.dim_ambient
     if P.dim_affine == 1:
         a, b = P.vertices
-        direction = [int(x) for x in _vec_sub(b, a)]
+        direction = _vec_sub(b, a)
         g = math.gcd(*direction)
         unit = convex_hull([(0,) * n, tuple(x // g for x in direction)])
         return [tuple([unit] * g)]
@@ -564,10 +545,8 @@ def lattice_equivalence_candidates(P, Q):
         return
     n = P.dim_ambient
     d = P.dim_affine
-    P_verts = [tuple(int(x) for x in v) for v in P.vertices]
-    Q_verts = [tuple(int(x) for x in w) for w in Q.vertices]
     if d == 0:
-        yield intlinalg.identity(n), _vec_sub(Q_verts[0], P_verts[0])
+        yield intlinalg.identity(n), _vec_sub(Q.vertices[0], P.vertices[0])
         return
     P_adj = _edge_graph(P)
     Q_adj = _edge_graph(Q)
@@ -576,8 +555,8 @@ def lattice_equivalence_candidates(P, Q):
     starts = [k for k, adj in enumerate(Q_adj) if len(adj) == len(P_adj[0])]
     if len(starts) * math.perm(len(P_adj[0]), d) > MAX_EQUIVALENCE_TUPLES:
         raise ComplexityLimit("equivalence scan needs over %d frame images" % MAX_EQUIVALENCE_TUPLES)
-    U_P, _, coords_P = _frame_coords(P_verts)
-    _, U_Q_inv, coords_Q = _frame_coords(Q_verts)
+    U_P, _, coords_P = _frame_coords(P.vertices)
+    _, U_Q_inv, coords_Q = _frame_coords(Q.vertices)
     neighbours = [coords_P[j] for j in P_adj[0]]
     frame = [P_adj[0][i] for i in intlinalg.pivot_columns(intlinalg.transpose(neighbours))]
     V = [[coords_P[j][i] for j in frame] for i in range(d)]
@@ -611,7 +590,7 @@ def lattice_equivalence_candidates(P, Q):
             block = [row + [0] * (n - d) for row in found[key]]
             block += [[int(i == j) for j in range(n)] for i in range(d, n)]
             A = intlinalg.mat_mul(intlinalg.mat_mul(U_Q_inv, block), U_P)
-            yield A, _vec_sub(Q_verts[k0], intlinalg.mat_vec(A, P_verts[0]))
+            yield A, _vec_sub(Q.vertices[k0], intlinalg.mat_vec(A, P.vertices[0]))
 
 
 def lattice_equivalent(P, Q):
@@ -641,6 +620,4 @@ def polytope_from_json(data):
         raise EmptyInput("no vertices in JSON polytope")
     if any(len(v) != data["dim"] for v in verts):
         raise DimensionMismatch("vertex length disagrees with dim")
-    if all(x.denominator == 1 for v in verts for x in v):
-        return convex_hull([tuple(int(x) for x in v) for v in verts])
-    return rational_hull(verts)
+    return convex_hull(verts)

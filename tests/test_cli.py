@@ -179,6 +179,16 @@ def test_hori_vafa_rejects_nonpositive_index(capsys):
     assert doc["status"] == "fail"
 
 
+def test_hori_vafa_variable_cap_exits_4(capsys):
+    # 800 variables would take tens of seconds and memory growing with N^2
+    start = time.perf_counter()
+    code, doc = run_cli(["hori-vafa", "--N", "800"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert doc["status"] == "fail"
+    assert doc["payload"]["error"] == "ComplexityLimit"
+
+
 def test_markov_depth_zero(capsys):
     code, doc = run_cli(["markov", "--depth", "0"], capsys)
     assert code == 0
@@ -353,6 +363,25 @@ def test_iv_mutate_malformed_data_is_shape_mismatch(tmp_path, capsys, data):
     doc = json.loads(out)  # exactly one JSON document
     assert code == 2
     assert doc["payload"]["error"] == "ShapeMismatch"
+
+
+@pytest.mark.parametrize("field", ["C1", "C2", "polytope", "expected"])
+@pytest.mark.parametrize("token", ["Infinity", "1e400"])
+def test_iv_mutate_non_finite_numbers_are_shape_mismatch(tmp_path, capsys, field, token):
+    # json reads both tokens as float infinity, which Fraction cannot hold
+    data = dict(IV_114, expected={"dim": 2, "vertices": [[-1, 1], [0, 1], [1, -2]]})
+    if field in ("C1", "C2"):
+        data[field] = [[0, "NONFINITE"]]
+    else:
+        data[field] = {"dim": 2, "vertices": [[0, "NONFINITE"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data).replace('"NONFINITE"', token))
+    code = main(["iv-mutate", str(path)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)  # exactly one JSON document
+    assert code == 2
+    assert doc["payload"]["error"] == "ShapeMismatch"
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize(

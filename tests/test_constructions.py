@@ -8,7 +8,7 @@ import pytest
 
 from toriclg import constructions, intlinalg, laurent, mutation, period, polytope
 from toriclg.constructions import CompleteIntersectionSpec, MarkovTriple
-from toriclg.errors import CoordinateSearchFailed, NotFano, NotMarkov, NotWeightedTriangle
+from toriclg.errors import ComplexityLimit, CoordinateSearchFailed, NotFano, NotMarkov, NotWeightedTriangle
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -35,6 +35,16 @@ def test_hori_vafa_index_boundary():
     # index 1 with two quadrics: exactly Fano, no free variables left
     f = constructions.hori_vafa(CompleteIntersectionSpec(4, (2, 2)))
     assert f == laurent.parse("(x+1)^2*(y+1)^2/(x*y)", V2)
+
+
+def test_hori_vafa_variable_cap_boundary():
+    cap = constructions.HORI_VAFA_VARIABLE_CAP
+    with pytest.raises(ComplexityLimit):
+        constructions.hori_vafa(CompleteIntersectionSpec(cap + 1, ()))
+    # one quadric takes a variable off: (x1 + 1)^2 / (x1...xn) plus n - 1 free ones
+    f = constructions.hori_vafa(CompleteIntersectionSpec(cap + 1, (2,)))
+    assert len(f.var_names) == cap
+    assert len(f.terms) == 3 + cap - 1
 
 
 def test_spec_validation():

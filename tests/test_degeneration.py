@@ -233,8 +233,8 @@ def test_mutate_weighted_plane_112():
 
 def test_mutate_noop_decomposition():
     sc = degeneration.weighted_plane_114()
-    c1 = polytope.rational_hull([(Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
-    c2 = polytope.rational_hull([(0, 1)])
+    c1 = polytope.convex_hull([(Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
+    c2 = polytope.convex_hull([(0, 1)])
     out = degeneration.mutate_polytope(sc.delta, sc.cosection, SliceDecomposition(c1, c2))
     assert out == sc.delta
     assert polytope.lattice_equivalent(out, sc.delta) is not None
@@ -246,9 +246,9 @@ def test_mutate_rejects_bad_decompositions():
     with pytest.raises(InvalidDecomposition):
         degeneration.mutate_polytope(
             sc.delta, sc.cosection,
-            SliceDecomposition(sc.decomposition.C1, polytope.rational_hull([(0, 0), (1, 0)])))
+            SliceDecomposition(sc.decomposition.C1, polytope.convex_hull([(0, 0), (1, 0)])))
     # both summand vertices fractional over each vertex of the sum
-    half = polytope.rational_hull(
+    half = polytope.convex_hull(
         [(Fraction(-1, 4), Fraction(3, 4)), (Fraction(1, 4), Fraction(3, 4))])
     with pytest.raises(InvalidDecomposition):
         degeneration.mutate_polytope(sc.delta, sc.cosection, SliceDecomposition(half, half))
@@ -264,15 +264,15 @@ def test_mutate_zero_summand_is_unbounded():
     sc = degeneration.weighted_plane_114()
     C = degeneration.cone_over(sc.delta)
     c_plus = degeneration.slice(C, sc.cosection, 1)
-    origin = polytope.rational_hull([(0, 0)])
+    origin = polytope.convex_hull([(0, 0)])
     with pytest.raises(UnboundedSlice):
         degeneration.mutate_polytope(sc.delta, sc.cosection, SliceDecomposition(c_plus, origin))
 
 
 def test_mutate_detects_non_lattice_output():
     sc = degeneration.weighted_plane_114()
-    c1 = polytope.rational_hull([(Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
-    c2 = polytope.rational_hull([(0, 2)])
+    c1 = polytope.convex_hull([(Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
+    c2 = polytope.convex_hull([(0, 2)])
     with pytest.raises(NotLattice):
         degeneration.mutate_polytope(sc.delta, sc.cosection, SliceDecomposition(c1, c2))
 

@@ -240,18 +240,19 @@ def test_hull_facets_match_brute_force_oracle(case):
 
 @settings(max_examples=60, deadline=None)
 @given(degenerate_point_sets(), st.sampled_from((1, 2, 3, 6)))
-def test_rational_hull_of_scaled_points_matches_lattice_hull(case, k):
-    # k = 1 hands rational_hull the int points themselves
+def test_hull_of_scaled_points_matches_lattice_hull(case, k):
+    # k = 1 hands convex_hull the int points as Fractions
     points, ambient = case
-    scaled = ambient if k == 1 else [tuple(Fraction(x, k) for x in q) for q in ambient]
+    scaled = [tuple(Fraction(x, k) for x in q) for q in ambient]
     P = pt.convex_hull(ambient)
-    R = pt.rational_hull(scaled)
+    R = pt.convex_hull(scaled)
+    entry = int if all(x % k == 0 for v in P.vertices for x in v) else Fraction
     assert R.dim_affine == P.dim_affine
     assert R.vertices == tuple(tuple(Fraction(x, k) for x in v) for v in P.vertices)
-    assert all(type(x) is Fraction for v in R.vertices for x in v)
+    assert all(type(x) is entry for v in R.vertices for x in v)
     assert R.facet_inequalities == tuple((u, Fraction(b, k)) for u, b in P.facet_inequalities)
     assert R.affine_equalities == tuple((u, Fraction(b, k)) for u, b in P.affine_equalities)
-    assert all(type(b) is Fraction for _u, b in R.facet_inequalities + R.affine_equalities)
+    assert all(type(b) is entry for _u, b in R.facet_inequalities + R.affine_equalities)
     tight = {
         frozenset(i for i, q in enumerate(scaled) if sum(a * x for a, x in zip(normal, q)) == offset)
         for normal, offset in R.facet_inequalities
@@ -301,7 +302,7 @@ LOWER_DIMENSIONAL_PINS = [
     ),
     # axes 0, 2: a rational triangle in the plane y = 2x/3
     (
-        pt.rational_hull,
+        pt.convex_hull,
         [(Fraction(3, 2), 1, Fraction(1, 3)), (0, 0, 5), (Fraction(-3, 4), Fraction(-1, 2), 1)],
         (((-16, 0, 3), Fraction(15)), ((-8, 0, -27), Fraction(-21)), ((28, 0, 9), Fraction(45))),
         (((2, -3, 0), Fraction(0)),),
@@ -322,6 +323,7 @@ def test_is_primitive():
     assert pt.is_primitive(pt.convex_hull([(1, 0), (0, 1), (-1, -1)]))
     assert not pt.is_primitive(pt.convex_hull([(2, 0), (0, 2), (-2, -2)]))
     assert pt.is_primitive(pt.convex_hull([(-1, 2), (1, 2), (0, -1)]))
+    assert not pt.is_primitive(pt.convex_hull([(Fraction(1, 2), 0), (0, 1), (-1, -1)]))
 
 
 def test_polygon_decompositions_square():
@@ -440,7 +442,7 @@ def test_lattice_equivalent_negative():
 def test_lattice_equivalent_needs_lattice_polytopes():
     # a half-integer translate is no lattice polytope, so nothing maps onto it
     P = pt.convex_hull([(0, 0), (2, 0), (0, 1)])
-    moved = pt.rational_hull([(x + Fraction(1, 2), y) for x, y in P.vertices])
+    moved = pt.convex_hull([(x + Fraction(1, 2), y) for x, y in P.vertices])
     assert pt.lattice_equivalent(P, moved) is None
 
 
@@ -622,13 +624,69 @@ def test_equivalence_scan_cap():
         pt.lattice_equivalent(above, above)
 
 
-def test_rational_hull_and_lattice_conversion():
-    R = pt.rational_hull([(Fraction(1, 2), Fraction(1, 2)), (0, 1), (-1, 1)])
+def test_hull_vertices_are_int_exactly_when_integral():
+    R = pt.convex_hull([(Fraction(1, 2), Fraction(1, 2)), (0, 1), (-1, 1)])
     assert (Fraction(1, 2), Fraction(1, 2)) in R.vertices
+    assert all(type(x) is Fraction for v in R.vertices for x in v)
     assert not pt.is_lattice(R)
-    L = pt.rational_hull([(1, 0), (0, 1), (-1, -1)])
+    L = pt.convex_hull([(Fraction(1), 0), (0, Fraction(2, 2)), (-1, -1), (Fraction(1, 3), Fraction(1, 3))])
     assert pt.is_lattice(L)
-    assert pt.to_lattice(L).vertices == ((-1, -1), (0, 1), (1, 0))
+    assert L.vertices == ((-1, -1), (0, 1), (1, 0))
+    assert all(type(x) is int for v in L.vertices for x in v)
+    assert L == pt.convex_hull([(1, 0), (0, 1), (-1, -1)])
+
+
+def _typed(P):
+    """The hull's data in a form that, unlike ==, tells int from Fraction."""
+    return repr((P.vertices, P.facet_inequalities, P.affine_equalities))
+
+
+@st.composite
+def exact_point_sets(draw):
+    """(points, A, t): in dimension 1-4, corners with a common
+    denominator 1-3, points between two corners when that is 1, each
+    point typed int when integral or Fraction at random; plus a
+    unimodular A with integer shift t."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.integers(1, 3))
+    corner = st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.just(den))] * n)
+    corners = draw(st.lists(corner, min_size=1, max_size=n + 2))
+    points = list(corners)
+    if den == 1:
+        for _ in range(draw(st.integers(0, 2))):
+            p, q = draw(st.sampled_from(corners)), draw(st.sampled_from(corners))
+            s = draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))))
+            points.append(tuple(a + s * (b - a) for a, b in zip(p, q)))
+    points = [
+        tuple(int(x) for x in p) if all(x.denominator == 1 for x in p) and draw(st.booleans()) else p
+        for p in draw(st.permutations(points))
+    ]
+    return points, _unimodular(draw, n), tuple(draw(st.integers(-3, 3)) for _ in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_point_sets())
+# a Fraction-typed segment in the plane: its equality offset is read at a vertex
+@example(([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))], [[1, 0], [0, 1]], (0, 0)))
+def test_vertex_and_offset_types_follow_integrality(case):
+    points, A, t = case
+    P = pt.convex_hull(points)
+    integral = all(Fraction(x).denominator == 1 for v in P.vertices for x in v)
+    entry = int if integral else Fraction
+    assert pt.is_lattice(P) == integral
+    assert all(type(x) is entry for v in P.vertices for x in v)
+    assert all(type(b) is entry for _u, b in P.facet_inequalities + P.affine_equalities)
+    if not integral:
+        return
+    ints = [tuple(int(x) for x in v) for v in P.vertices]
+    assert _typed(pt.convex_hull(ints)) == _typed(P)
+    # Fraction-typed integral input gives the same maps as int input
+    images = [_affine_image(A, t, v) for v in ints]
+    fractions = [tuple(Fraction(x) for x in v) for v in points]
+    scan = list(pt.lattice_equivalence_candidates(pt.convex_hull(ints), pt.convex_hull(images)))
+    assert scan
+    F_images = [tuple(Fraction(x) for x in v) for v in images]
+    assert repr(list(pt.lattice_equivalence_candidates(pt.convex_hull(fractions), pt.convex_hull(F_images)))) == repr(scan)
 
 
 def test_supporting_vertices_and_tight_normals():
@@ -646,6 +704,6 @@ def test_polytope_json_roundtrip():
     data = pt.polytope_to_json(P)
     assert data == {"dim": 2, "vertices": [[-1, -1], [0, 1], [1, 0]]}
     assert pt.polytope_from_json(data) == P
-    R = pt.rational_hull([(Fraction(1, 2), 0), (1, 0), (0, 1)])
+    R = pt.convex_hull([(Fraction(1, 2), 0), (1, 0), (0, 1)])
     data2 = pt.polytope_to_json(R)
     assert pt.polytope_from_json(data2) == R
