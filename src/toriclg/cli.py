@@ -8,6 +8,7 @@ strings; --float adds decimal shadows without replacing anything.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -251,13 +252,14 @@ def cmd_verify_minkowski(args):
     diagnostics = []
     if args.presentation:
         pres = minkowski.presentation_from_json_dict(json.loads(_read_file(args.presentation)))
+        ok, report = minkowski.verify_presentation(f, pres)
     else:
-        pres = minkowski.find_presentation(f)
+        pres, report = minkowski.search_presentation(f)
         if pres is None:
             return CommandResult(
                 "fail", {"found": False}, ["no Minkowski presentation exists for this polynomial"], exit_code=2
             )
-    ok, report = minkowski.verify_presentation(f, pres)
+        ok = True
     faces = {_face_label(entry["face"]): entry["status"] for entry in report}
     payload = {
         "ok": ok,
@@ -467,7 +469,10 @@ def _add_common(p):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    # argparse gives every parse_args call a fresh Namespace, so one parser
+    # serves every call in the process
     parser = _ArgumentParser(prog="toriclg", description=__doc__.splitlines()[0])
     parser.add_argument("--emit", choices=("json", "text"), default="json", help="output style")
     parser.add_argument(

@@ -19,6 +19,10 @@ from .errors import ComplexityLimit, FaceMismatch, ShapeMismatch
 # faces of dimension 3 are never decomposed; on a four-dimensional Newton
 # polytope only the 2-skeleton is checked and the result says so
 PARTIAL_DIM = 4
+# choices of one lattice point per summand that _match_factors may
+# enumerate; an edge of lattice length k alone gives 2^k, so (1+x)^14 fits
+# and (1+x)^15 does not
+MATCH_COMBINATION_CAP = 16_384
 
 
 @dataclass(frozen=True)
@@ -156,10 +160,14 @@ def _match_factors(target, summands):
     target must have its lexicographically least Newton vertex at the
     origin.  Coefficients are recovered by repeatedly solving product
     coefficients that involve a single unknown; returns the factors or
-    None, with None also covering the underdetermined case.
+    None, with None also covering the underdetermined case.  More than
+    MATCH_COMBINATION_CAP choices of one point per summand raise
+    ComplexityLimit.
     """
     names = target.var_names
     points = [polytope.lattice_points(Q) for Q in summands]
+    if math.prod(len(p) for p in points) > MATCH_COMBINATION_CAP:
+        raise ComplexityLimit("more than %d lattice point choices in a face factorization" % MATCH_COMBINATION_CAP)
     verts = [set(Q.vertices) for Q in summands]
     coeffs = [
         {tuple(p): (Fraction(1) if tuple(p) in verts[i] else None) for p in points[i]}
@@ -231,8 +239,16 @@ def _shifted_restriction(f, P, face):
     return laurent.mul(g, shift)
 
 
-def _check_face(f, P, face, hull, summands):
-    """(ok, detail) for one face of P = Delta_f, with its hull, against its summands."""
+def _face_data(f, P, face):
+    """What every check of one face of P = Delta_f needs of the face alone:
+    its hull, the hull's canonical form and the shifted restriction of f."""
+    hull = polytope.convex_hull(list(face.vertices))
+    return hull, polytope.canonical_form(hull), _shifted_restriction(f, P, face)
+
+
+def _check_face(face_data, summands):
+    """(ok, detail) for one face, given its _face_data, against its summands."""
+    hull, shape, target = face_data
     if not summands:
         return False, "no summands assigned"
     canon = []
@@ -246,13 +262,30 @@ def _check_face(f, P, face, hull, summands):
     total = canon[0]
     for Q in canon[1:]:
         total = polytope.minkowski_sum(total, Q)
-    if polytope.canonical_form(total) != polytope.canonical_form(hull):
+    if polytope.canonical_form(total) != shape:
         return False, "summands do not add up to the face"
-    target = _shifted_restriction(f, P, face)
     factors = _match_factors(target, canon)
     if factors is None:
         return False, "no factorization with unit vertex coefficients"
     return True, "product of %d factors matches" % len(canon)
+
+
+def _vertex_entries(f, P):
+    """Report entries for the coefficient of f at each vertex of P, which must be 1."""
+    entries = []
+    for vert in P.vertices:
+        c = laurent.coefficient_at(f, vert)
+        status = "ok" if c == 1 else "failed"
+        entries.append({"face": (tuple(vert),), "dim": 0, "status": status, "detail": "vertex coefficient is %s" % c})
+    return entries
+
+
+def _face_entry(key, dim, good, detail):
+    return {"face": key, "dim": dim, "status": "ok" if good else "failed", "detail": detail}
+
+
+def _skipped_entry(key):
+    return {"face": key, "dim": 3, "status": "skipped", "detail": "not decomposed"}
 
 
 def verify_presentation(f, pres):
@@ -274,60 +307,59 @@ def verify_presentation(f, pres):
         raise ShapeMismatch("three-dimensional faces must be listed as skipped")
     if skippable_keys and not pres.partial:
         raise ShapeMismatch("a presentation skipping faces must be marked partial")
-    report = []
-    ok = True
-    for v_idx, vert in enumerate(P.vertices):
-        c = laurent.coefficient_at(f, vert)
-        good = c == 1
-        ok = ok and good
-        report.append(
-            {
-                "face": (tuple(vert),),
-                "dim": 0,
-                "status": "ok" if good else "failed",
-                "detail": "vertex coefficient is %s" % c,
-            }
-        )
+    report = _vertex_entries(f, P)
     for key in sorted(required):
         face = required[key]
-        hull = polytope.convex_hull(list(face.vertices))
-        good, detail = _check_face(f, P, face, hull, pres.summands_for(key))
-        ok = ok and good
-        report.append({"face": key, "dim": face.dim, "status": "ok" if good else "failed", "detail": detail})
-    for key in pres.skipped:
-        report.append({"face": key, "dim": 3, "status": "skipped", "detail": "not decomposed"})
-    return ok, tuple(report)
+        good, detail = _check_face(_face_data(f, P, face), pres.summands_for(key))
+        report.append(_face_entry(key, face.dim, good, detail))
+    report.extend(_skipped_entry(key) for key in pres.skipped)
+    return all(entry["status"] != "failed" for entry in report), tuple(report)
 
 
-def find_presentation(f):
-    """Search for a presentation witness, one face at a time.
+def search_presentation(f):
+    """Search for a presentation witness, one face at a time, and report
+    the checks it ran.
 
     Edges admit only the split into unit segments, so an edge whose
     coefficients are not binomial kills the search immediately.  For each
     polygon face the candidate decompositions are tried in order until one
-    supports a unit-vertex factorization.  Returns None when some face has
-    no working decomposition."""
+    supports a unit-vertex factorization.  Returns (pres, report), where
+    report is what verify_presentation(f, pres) reports for the witness, or
+    (None, None) when some vertex coefficient is not 1 or some face has no
+    working decomposition."""
     if not f.terms:
         raise ValueError("zero polynomial has no Newton polytope")
     P = polytope.newton_polytope(f)
-    for vert in P.vertices:
-        if laurent.coefficient_at(f, vert) != 1:
-            return None
+    vertices = _vertex_entries(f, P)
+    if any(entry["status"] == "failed" for entry in vertices):
+        return None, None
     covered, skippable = _presented_faces(P)
     assignments = []
+    entries = []
     for face in sorted(covered, key=lambda F: (F.dim, _face_key(F.vertices))):
-        hull = polytope.convex_hull(list(face.vertices))
-        for candidate in polytope.polygon_minkowski_decompositions(hull):
-            if _check_face(f, P, face, hull, tuple(candidate))[0]:
+        data = _face_data(f, P, face)
+        for candidate in polytope.polygon_minkowski_decompositions(data[0]):
+            good, detail = _check_face(data, tuple(candidate))
+            if good:
                 break
         else:
-            return None
-        assignments.append((_face_key(face.vertices), tuple(candidate)))
-    return MinkowskiPresentation(
+            return None, None
+        key = _face_key(face.vertices)
+        assignments.append((key, tuple(candidate)))
+        entries.append(_face_entry(key, face.dim, good, detail))
+    pres = MinkowskiPresentation(
         assignments=tuple(assignments),
         partial=bool(skippable),
         skipped=tuple(_face_key(F.vertices) for F in skippable),
     )
+    report = vertices + sorted(entries, key=lambda entry: entry["face"])
+    report.extend(_skipped_entry(key) for key in pres.skipped)
+    return pres, tuple(report)
+
+
+def find_presentation(f):
+    """The witness of search_presentation(f), or None when there is none."""
+    return search_presentation(f)[0]
 
 
 def presentation_to_json_dict(pres):

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from toriclg import mutation
-from toriclg.cli import main
+from toriclg.cli import build_parser, main
 from toriclg.constructions import catalog
 from toriclg.laurent import parse
 
@@ -522,6 +522,55 @@ def test_large_power_hits_the_product_cap(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 4
     assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+def test_long_edge_hits_the_factor_combination_cap(capsys):
+    start = time.perf_counter()
+    code, doc = run_cli(["verify-minkowski", "--poly", "(1+x)^15"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert doc["payload"]["error"] == "ComplexityLimit"
+    code, doc = run_cli(["verify-minkowski", "--poly", "(1+x)^14"], capsys)
+    assert code == 0
+    assert doc["payload"]["ok"] is True
+
+
+# (argv, whether stdout is a closed pipe); the options and errors come
+# before plain calls that must not inherit anything from them
+PARSER_REUSE_CALLS = [
+    (["--emit", "text", "markov", "--depth", "2"], False),
+    (["period", "x+y+1/(x*y)", "--n", "3", "--float"], False),
+    (["period", "--n", "3"], False),
+    (["--help"], True),
+    (["markov", "--depth", "2"], False),
+    (["period", "x+y+1/(x*y)", "--n", "3"], False),
+    (["verify-minkowski", "--poly", "(1+x)*(1+x+y)"], False),
+]
+
+
+def _call(argv, closed, capsys, monkeypatch):
+    if not closed:
+        code = main(argv)
+        return (code,) + tuple(capsys.readouterr())
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as stream:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stream)
+            code = main(argv)
+    return (code,) + tuple(capsys.readouterr())
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    build_parser.cache_clear()
+    reused = [_call(argv, closed, capsys, monkeypatch) for argv, closed in PARSER_REUSE_CALLS]
+    assert build_parser.cache_info().hits == len(PARSER_REUSE_CALLS) - 1
+    for (argv, closed), got in zip(PARSER_REUSE_CALLS, reused):
+        build_parser.cache_clear()
+        assert got == _call(argv, closed, capsys, monkeypatch), argv
+    assert reused[2][0] == 1 and reused[2][2].startswith("usage: ")
+    assert reused[3][0] == 1 and reused[3][2].startswith("error: ")
+    assert json.loads(reused[5][1])["payload"] == {"n": 3, "values": ["1", "0", "0", "6"]}
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

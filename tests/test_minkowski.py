@@ -1,7 +1,10 @@
 """Face restrictions, edge binomial checks, and presentation search."""
 
+import itertools
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toriclg import constructions, laurent, minkowski, polytope
@@ -209,6 +212,66 @@ def test_one_newton_polytope_per_search_and_per_check(name, monkeypatch):
     assert len(calls) == 1
     assert minkowski.verify_presentation(f, pres)[0]
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["quadric3.f0", "cubic3.f0", "cubic4.f00"])
+def test_search_report_matches_verify_presentation_on_catalog_models(name):
+    f = constructions.catalog()[name]
+    pres, report = minkowski.search_presentation(f)
+    assert pres is not None
+    assert minkowski.verify_presentation(f, pres) == (True, report)
+
+
+def _unit_pieces(n):
+    """Primitive vectors v of {-1, 0, 1}^n, and pairs (u, v) of them
+    spanning a saturated rank-2 sublattice: the edges of unit segments
+    [0, v] and of unimodular triangles 0, u, v."""
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=n) if any(v)]
+    pairs = [
+        (u, v)
+        for u, v in itertools.combinations(vectors, 2)
+        if math.gcd(*(u[i] * v[j] - u[j] * v[i] for i in range(n) for j in range(i + 1, n))) == 1
+    ]
+    return vectors, pairs
+
+
+UNIT_PIECES = {n: _unit_pieces(n) for n in (2, 3)}
+
+
+@st.composite
+def unit_products(draw):
+    """(f, base): a full-dimensional product of 2-3 unit segments and
+    unimodular triangles in 2 or 3 variables, and f that product itself or
+    with one coefficient raised by 1 or 2."""
+    n = draw(st.integers(2, 3))
+    names = ("x", "y", "z")[:n]
+    vectors, pairs = UNIT_PIECES[n]
+    base = laurent.monomial(names, (0,) * n)
+    for _ in range(draw(st.integers(2, 3))):
+        edges = draw(st.sampled_from(pairs)) if draw(st.booleans()) else (draw(st.sampled_from(vectors)),)
+        base = laurent.mul(base, laurent.LaurentPoly(names, {p: 1 for p in ((0,) * n,) + edges}))
+    assume(polytope.newton_polytope(base).dim_affine == n)
+    f = base
+    if draw(st.booleans()):
+        e = draw(st.sampled_from(sorted(base.terms)))
+        f = laurent.add(base, laurent.LaurentPoly(names, {e: draw(st.integers(1, 2))}))
+    return f, base
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_products())
+def test_search_report_matches_verify_presentation(case):
+    """verify_presentation is the independent check of the search's own
+    report; a failed search must also reject the unperturbed witness."""
+    f, base = case
+    witness = minkowski.find_presentation(base)
+    assert witness is not None
+    pres, report = minkowski.search_presentation(f)
+    if pres is None:
+        assert report is None
+        assert not minkowski.verify_presentation(f, witness)[0]
+    else:
+        assert minkowski.verify_presentation(f, pres) == (True, report)
 
 
 def test_verify_rejects_non_binomial_coefficients():
