@@ -73,7 +73,7 @@ def _poly_pair(a_value, b_value):
     at = {v: i for i, v in enumerate(second.var_names)}
     moved = {tuple(e[at[v]] if v in at else 0 for v in names): c for e, c in second.terms.items()}
     padded = {e + pad: c for e, c in first.terms.items()}
-    return laurent.LaurentPoly(names, padded), laurent.LaurentPoly(names, moved)
+    return laurent._trusted(names, padded), laurent._trusted(names, moved)
 
 
 def _approx(node):

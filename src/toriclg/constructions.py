@@ -8,6 +8,8 @@ catalog() collects the fixed polynomials the test suite and CLI refer
 to by name.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 from . import intlinalg, laurent, mutation, polytope
@@ -19,6 +21,9 @@ MARKOV_TRIPLE_CAP = 10_000
 # each variable is added to the model with exponents as long as the
 # variable count, so time and memory grow with the square of that count
 HORI_VAFA_VARIABLE_CAP = 200
+# lattice points of a weighted-plane step's result triangle, which bound its
+# term count; p2-chain --depth 6 needs 31,268, slot 0 at (1, 13, 34) 879,162
+GALKIN_LATTICE_POINT_CAP = 100_000
 
 _VAR_POOL = ("x", "y", "z", "t", "u", "v")
 
@@ -192,7 +197,9 @@ def galkin_mutate(f, triple, slot):
     chosen slot is replaced by the elementary transform of the other
     two; returns (new polynomial, new triple).  The coordinate search
     picks the smallest admissible exponent d and the lexicographically
-    least change-of-basis matrix.
+    least change-of-basis matrix.  ComplexityLimit, before the cluster
+    step, when the result triangle has over GALKIN_LATTICE_POINT_CAP
+    lattice points.
     """
     if len(f.var_names) != 2:
         raise NotWeightedTriangle("need a polynomial in two variables, got %d" % len(f.var_names))
@@ -217,7 +224,17 @@ def galkin_mutate(f, triple, slot):
     third_num = d * m - b * b
     if third_num % c != 0:
         raise CoordinateSearchFailed("third vertex target is not integral")
-    target = polytope.convex_hull([(d, c), (d - c, c), (-(third_num // c), -m)])
+    x0 = -(third_num // c)
+    # the cluster step shrinks the target's top edge to its end (d - c, c)
+    # and stretches its bottom vertex (x0, -m) to the edge ending at
+    # (x0 + m, -m); Pick's theorem counts that triangle's lattice points
+    top = d - c - x0
+    boundary = m + math.gcd(top, c + m) + math.gcd(top - m, c + m)
+    points = (m * (c + m) + boundary) // 2 + 1
+    if points > GALKIN_LATTICE_POINT_CAP:
+        raise ComplexityLimit("the step's result triangle has %d lattice points, more than %d"
+                              % (points, GALKIN_LATTICE_POINT_CAP))
+    target = polytope.convex_hull([(d, c), (d - c, c), (x0, -m)])
     linear = [A for A, t in polytope.lattice_equivalence_candidates(P, target) if t == (0, 0)]
     if not linear:
         raise CoordinateSearchFailed("no unimodular map onto the target triangle")
@@ -252,10 +269,16 @@ _CATALOG_SOURCES = (
 )
 
 
+@functools.lru_cache(maxsize=1)
+def _parsed_catalog():
+    return tuple((name, laurent.parse(expr, names)) for name, expr, names in _CATALOG_SOURCES)
+
+
 def catalog():
-    """Named polynomials from the worked examples, parsed fresh per call.
+    """Named polynomials from the worked examples, parsed once per process;
+    each call returns a fresh dict.
 
     Keys are model.variant; the p3 entries f1p and f1pp are the two
     rewritten forms of f1 used as inputs of the cluster step.
     """
-    return {name: laurent.parse(expr, names) for name, expr, names in _CATALOG_SOURCES}
+    return dict(_parsed_catalog())

@@ -291,7 +291,7 @@ def factor_mutation(f, pivot, f1, f2):
     for e, c in f.terms.items():
         if e[pivot] == 1:
             top[e[:pivot] + (0,) + e[pivot + 1:]] = c
-    f_top = laurent.LaurentPoly(f.var_names, top)
+    f_top = laurent._trusted(f.var_names, top)
     if laurent.mul(f1, f2) != f_top:
         raise BadFactorization("product of the factors is not the top pivot slice")
     return mutation.apply_cluster(f, mutation.ClusterChange(pivot, 1, f2))

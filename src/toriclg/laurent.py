@@ -4,10 +4,16 @@ A polynomial is a map from integer exponent tuples to nonzero Fraction
 coefficients, together with an ordered tuple of variable names.  The
 zero polynomial is the empty map.  Everything is exact; floats never
 appear.  Values are immutable: operations return new polynomials.
+
+Terms are validated where they enter: the public LaurentPoly(...)
+constructor and parse.  Every result the package builds from clean terms
+goes through _trusted, which checks nothing.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,6 +31,9 @@ from .errors import (
 # term pairs one product may multiply; pow goes through mul, so this also
 # stops a power whose repeated squaring outgrows it
 MUL_TERM_PAIR_CAP = 2_000_000
+# bits a power's coefficients may reach, bounded before any squaring; about
+# 4,200 decimal digits, so every power allowed can still be printed
+POW_COEFFICIENT_BITS_CAP = 14_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,15 @@ class LaurentPoly:
         return f"LaurentPoly({format(self)!r}, vars={self.var_names})"
 
 
+def _trusted(var_names, terms):
+    """A LaurentPoly from clean terms, checking nothing: var_names a tuple,
+    exponents int tuples of its length, coefficients nonzero Fractions."""
+    p = object.__new__(LaurentPoly)
+    object.__setattr__(p, "var_names", var_names)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
 def _check_vars(p, q):
     if p.var_names != q.var_names:
         raise DimensionMismatch(f"variable tuples differ: {p.var_names} vs {q.var_names}")
@@ -89,7 +107,7 @@ def variable(var_names, index):
     names = tuple(var_names)
     e = [0] * len(names)
     e[index] = 1
-    return LaurentPoly(names, {tuple(e): Fraction(1)})
+    return _trusted(names, {tuple(e): Fraction(1)})
 
 
 def add(p, q):
@@ -101,18 +119,18 @@ def add(p, q):
             acc.pop(e, None)
         else:
             acc[e] = s
-    return LaurentPoly(p.var_names, acc)
+    return _trusted(p.var_names, acc)
 
 
 def neg(p):
-    return LaurentPoly(p.var_names, {e: -c for e, c in p.terms.items()})
+    return _trusted(p.var_names, {e: -c for e, c in p.terms.items()})
 
 
 def scale(p, c):
     c = Fraction(c)
     if c == 0:
         return zero(p.var_names)
-    return LaurentPoly(p.var_names, {e: c * coeff for e, coeff in p.terms.items()})
+    return _trusted(p.var_names, {e: c * coeff for e, coeff in p.terms.items()})
 
 
 def mul(p, q):
@@ -129,16 +147,23 @@ def mul(p, q):
                 acc.pop(e, None)
             else:
                 acc[e] = s
-    return LaurentPoly(p.var_names, acc)
+    return _trusted(p.var_names, acc)
 
 
 def pow(p, k):
+    """p^k, k < 0 for a monomial only.  Each coefficient of p^k has numerator
+    and denominator at most H^|k|, H the larger of p's common denominator L
+    and the sum of its |c| * L; ComplexityLimit when that may pass the cap."""
     k = int(k)
-    if k < 0:
-        if len(p.terms) == 1:
-            ((e, c),) = p.terms.items()
-            return LaurentPoly(p.var_names, {tuple(k * x for x in e): c**k})
+    if k < 0 and len(p.terms) != 1:
         raise NotLaurent(f"negative power of a non-monomial: ({format(p)})^{k}")
+    common = math.lcm(*(c.denominator for c in p.terms.values()))
+    height = max(common, sum(abs(c.numerator) * (common // c.denominator) for c in p.terms.values()))
+    if abs(k) * (height - 1).bit_length() > POW_COEFFICIENT_BITS_CAP:
+        raise ComplexityLimit(f"a power ^{k} may need coefficients over {POW_COEFFICIENT_BITS_CAP} bits")
+    if len(p.terms) == 1:
+        ((e, c),) = p.terms.items()
+        return _trusted(p.var_names, {tuple(k * x for x in e): c**k})
     result = one(p.var_names)
     base = p
     while k:
@@ -163,15 +188,6 @@ def support(p):
     return sorted(p.terms)
 
 
-def _min_exponents(p):
-    mins = list(next(iter(p.terms)))
-    for e in p.terms:
-        for i, x in enumerate(e):
-            if x < mins[i]:
-                mins[i] = x
-    return tuple(mins)
-
-
 def exact_divide(p, q):
     """The r with mul(r, q) == p, if it exists in the Laurent ring.
 
@@ -185,8 +201,8 @@ def exact_divide(p, q):
         raise DivisionByZero("division by the zero polynomial")
     if p.is_zero():
         return zero(p.var_names)
-    mp = _min_exponents(p)
-    mq = _min_exponents(q)
+    mp = tuple(map(min, zip(*p.terms)))
+    mq = tuple(map(min, zip(*q.terms)))
     dividend = {tuple(a - b for a, b in zip(e, mp)): c for e, c in p.terms.items()}
     divisor = {tuple(a - b for a, b in zip(e, mq)): c for e, c in q.terms.items()}
     lead_q = max(divisor)
@@ -207,7 +223,7 @@ def exact_divide(p, q):
             else:
                 dividend[key] = s
     offset = tuple(a - b for a, b in zip(mp, mq))
-    return LaurentPoly(p.var_names, {tuple(a + b for a, b in zip(e, offset)): c for e, c in quotient.items()})
+    return _trusted(p.var_names, {tuple(a + b for a, b in zip(e, offset)): c for e, c in quotient.items()})
 
 
 def monomial_substitute(p, matrix, shift=None, scales=None):
@@ -242,44 +258,30 @@ def monomial_substitute(p, matrix, shift=None, scales=None):
         for s, k in zip(scales, e):
             nc *= s**k
         out[ne] = nc
-    return LaurentPoly(p.var_names, out)
+    return _trusted(p.var_names, out)
 
 
 # --- parsing ---------------------------------------------------------------
 
-_OPS = "+-*/^()"
 # each parenthesis level costs four parser frames; this stays well inside
 # Python's default recursion limit
 MAX_PAREN_DEPTH = 100
+# int() reads, and str() prints, no longer decimal integers by default
+MAX_LITERAL_DIGITS = 4300
+# one token per match: a decimal literal (\d is exactly what int() reads),
+# a word, an operator, or any other non-space character, which is an error
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>\w+)|(?P<op>[-+*/^()])|\S")
 
 
-def _tokenize(text):
+def _scan(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "int" and len(value) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"number literal longer than {MAX_LITERAL_DIGITS} digits", pos)
+        if kind is None or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
+            raise ParseError(f"unexpected character {value[0]!r}", pos)
+        tokens.append((value if kind == "op" else kind, value, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -303,18 +305,21 @@ class _Parser:
         return tok
 
     def parse_expr(self):
-        sign = 1
-        if self.peek()[0] == "-":
+        """The signed terms, added into one dict."""
+        acc = {}
+        negative = self.peek()[0] == "-"
+        if negative:
             self.take()
-            sign = -1
-        result = self.parse_term()
-        if sign < 0:
-            result = neg(result)
-        while self.peek()[0] in "+-":
-            op = self.take()
-            rhs = self.parse_term()
-            result = add(result, rhs if op[0] == "+" else neg(rhs))
-        return result
+        while True:
+            for e, c in self.parse_term().terms.items():
+                s = acc.get(e, 0) + (-c if negative else c)
+                if s == 0:
+                    acc.pop(e, None)
+                else:
+                    acc[e] = s
+            if self.peek()[0] not in "+-":
+                return _trusted(self.var_names, acc)
+            negative = self.take()[0] == "-"
 
     def parse_term(self):
         result = self.parse_factor()
@@ -328,8 +333,6 @@ class _Parser:
                     result = exact_divide(result, rhs)
                 except NotDivisible as exc:
                     raise NotLaurent(str(exc)) from exc
-                except DivisionByZero:
-                    raise
         return result
 
     def parse_factor(self):
@@ -372,13 +375,9 @@ def parse(text, var_names=None):
     integer | identifier | '(' expr ')'.  Unknown identifiers bind in
     first-appearance order when var_names is not given.
     """
-    tokens = _tokenize(text)
+    tokens = _scan(text)
     if var_names is None:
-        seen = []
-        for kind, value, _pos in tokens:
-            if kind == "ident" and value not in seen:
-                seen.append(value)
-        var_names = tuple(seen)
+        var_names = tuple(dict.fromkeys(value for kind, value, _pos in tokens if kind == "ident"))
     else:
         var_names = tuple(var_names)
         for kind, value, pos in tokens:

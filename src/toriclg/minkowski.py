@@ -76,7 +76,7 @@ def face_restriction(f, face):
     the Newton polytope.  The face must actually be a face of Delta_f."""
     P = polytope.newton_polytope(f)
     wanted = _face_key(face.vertices)
-    if not any(_face_key(F.vertices) == wanted for F in polytope.faces(P, face.dim)):
+    if not any(_face_key(F.vertices) == wanted for F in polytope.faces(P, face.dim_affine)):
         raise FaceMismatch("not a face of the Newton polytope")
     return _restrict(f, P, face)
 
@@ -93,7 +93,7 @@ def _restrict(f, P, face):
         for e, c in f.terms.items()
         if all(sum(a * b for a, b in zip(normal, e)) == offset for normal, offset in defining)
     }
-    return laurent.LaurentPoly(f.var_names, kept)
+    return laurent._trusted(f.var_names, kept)
 
 
 def edge_binomials_ok(f):
@@ -226,7 +226,7 @@ def _match_factors(target, summands):
         if value != laurent.coefficient_at(target, total):
             return None
     return [
-        laurent.LaurentPoly(names, {p: c for p, c in layer.items() if c != 0})
+        laurent._trusted(names, {p: c for p, c in layer.items() if c != 0})
         for layer in coeffs
     ]
 
@@ -239,21 +239,21 @@ def _shifted_restriction(f, P, face):
     return laurent.mul(g, shift)
 
 
-def _face_data(f, P, face):
-    """What every check of one face of P = Delta_f needs of the face alone:
-    its hull, the hull's canonical form and the shifted restriction of f."""
-    hull = polytope.convex_hull(list(face.vertices))
-    return hull, polytope.canonical_form(hull), _shifted_restriction(f, P, face)
+def _factor_check(target, summands):
+    """(ok, detail) of _match_factors for summands known to fit the face."""
+    if _match_factors(target, summands) is None:
+        return False, "no factorization with unit vertex coefficients"
+    return True, "product of %d factors matches" % len(summands)
 
 
-def _check_face(face_data, summands):
-    """(ok, detail) for one face, given its _face_data, against its summands."""
-    hull, shape, target = face_data
+def _check_face(face, target, summands):
+    """(ok, detail) for one face of Delta_f, with target its shifted
+    restriction, against summands read from outside."""
     if not summands:
         return False, "no summands assigned"
     canon = []
     for Q in summands:
-        if Q.dim_ambient != hull.dim_ambient:
+        if Q.dim_ambient != len(face.vertices[0]):
             return False, "summand lives in the wrong ambient dimension"
         canon.append(_canonical_polytope(Q))
     for Q in canon:
@@ -262,12 +262,9 @@ def _check_face(face_data, summands):
     total = canon[0]
     for Q in canon[1:]:
         total = polytope.minkowski_sum(total, Q)
-    if polytope.canonical_form(total) != shape:
+    if polytope.canonical_form(total) != polytope.canonical_form(face):
         return False, "summands do not add up to the face"
-    factors = _match_factors(target, canon)
-    if factors is None:
-        return False, "no factorization with unit vertex coefficients"
-    return True, "product of %d factors matches" % len(canon)
+    return _factor_check(target, canon)
 
 
 def _vertex_entries(f, P):
@@ -310,8 +307,8 @@ def verify_presentation(f, pres):
     report = _vertex_entries(f, P)
     for key in sorted(required):
         face = required[key]
-        good, detail = _check_face(_face_data(f, P, face), pres.summands_for(key))
-        report.append(_face_entry(key, face.dim, good, detail))
+        good, detail = _check_face(face, _shifted_restriction(f, P, face), pres.summands_for(key))
+        report.append(_face_entry(key, face.dim_affine, good, detail))
     report.extend(_skipped_entry(key) for key in pres.skipped)
     return all(entry["status"] != "failed" for entry in report), tuple(report)
 
@@ -336,17 +333,19 @@ def search_presentation(f):
     covered, skippable = _presented_faces(P)
     assignments = []
     entries = []
-    for face in sorted(covered, key=lambda F: (F.dim, _face_key(F.vertices))):
-        data = _face_data(f, P, face)
-        for candidate in polytope.polygon_minkowski_decompositions(data[0]):
-            good, detail = _check_face(data, tuple(candidate))
+    for face in sorted(covered, key=lambda F: (F.dim_affine, _face_key(F.vertices))):
+        target = _shifted_restriction(f, P, face)
+        # each candidate lies in the face's space, is canonical and
+        # irreducible, and adds up to the face: only the factors are open
+        for candidate in polytope.polygon_minkowski_decompositions(face):
+            good, detail = _factor_check(target, candidate)
             if good:
                 break
         else:
             return None, None
         key = _face_key(face.vertices)
         assignments.append((key, tuple(candidate)))
-        entries.append(_face_entry(key, face.dim, good, detail))
+        entries.append(_face_entry(key, face.dim_affine, good, detail))
     pres = MinkowskiPresentation(
         assignments=tuple(assignments),
         partial=bool(skippable),

@@ -89,7 +89,7 @@ def apply_cluster(f, change):
     result = {}
     powers = [laurent.one(f.var_names)]
     for k, terms in sorted(slices.items()):
-        part = laurent.LaurentPoly(f.var_names, terms)
+        part = laurent._trusted(f.var_names, terms)
         exponent = -change.sign * k
         while len(powers) <= abs(exponent):
             powers.append(laurent.mul(powers[-1], change.factor))
@@ -102,7 +102,7 @@ def apply_cluster(f, change):
             except NotDivisible as err:
                 raise NotLaurent("cluster change leaves the Laurent ring: %s" % err) from err
         result.update((e[:pivot] + (k,) + e[pivot + 1 :], c) for e, c in part.terms.items())
-    return laurent.LaurentPoly(f.var_names, result)
+    return laurent._trusted(f.var_names, result)
 
 
 def apply_toric(f, change):

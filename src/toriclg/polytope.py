@@ -55,7 +55,7 @@ class Polytope:
 
 @dataclass(frozen=True)
 class Face:
-    dim: int
+    dim_affine: int
     vertex_indices: tuple
     vertices: tuple
 
@@ -286,8 +286,8 @@ def tight_normals(P, x):
 
 
 def canonical_form(P):
-    """Vertex tuple with the lex-smallest vertex moved to the origin;
-    equal for two polytopes exactly when they are translates."""
+    """Vertex tuple of a Polytope or a Face with the lex-smallest vertex
+    moved to the origin; equal exactly for translates."""
     base = P.vertices[0]
     return tuple(sorted(_vec_sub(v, base) for v in P.vertices))
 
@@ -360,7 +360,7 @@ def edges(P):
 
 def edge_lattice_length(e):
     """gcd of the coordinate differences of the edge endpoints."""
-    if e.dim != 1 or len(e.vertices) != 2:
+    if e.dim_affine != 1 or len(e.vertices) != 2:
         raise InvalidDimension("not an edge")
     a, b = e.vertices
     diffs = _vec_sub(b, a)
@@ -458,9 +458,9 @@ def _summand_from_part(part, basis2, ambient_dim):
 
 
 def _polygon_edge_slots(P):
-    """(slots, basis2): the polygon's primitive edge vectors, one per lattice
-    step around its boundary, sorted, in the lattice basis basis2 of its
-    plane.  ComplexityLimit above MAX_EDGE_SLOTS slots."""
+    """(slots, basis2) of a polygon, Polytope or Face: its primitive edge
+    vectors, one per lattice step around its boundary, sorted, in the lattice
+    basis basis2 of its plane.  ComplexityLimit above MAX_EDGE_SLOTS slots."""
     if P.dim_affine != 2:
         raise NotTwoDimensional("expected a polygon")
     _U, U_inv, coords = _frame_coords(P.vertices)
@@ -477,15 +477,13 @@ def _polygon_edge_slots(P):
 
 
 def polygon_minkowski_decompositions(P):
-    """Every way to write the polygon as a Minkowski sum of irreducible
-    lattice polygons and segments, up to translating the summands.
-
-    Works by splitting the multiset of primitive edge vectors into minimal
-    zero-sum parts; each part closes up into one summand.
-    """
+    """Every way to write the polygon or segment P, a Polytope or a Face, as
+    a Minkowski sum of irreducible lattice polygons and segments, each with
+    its least vertex at the origin: each minimal zero-sum part of the
+    primitive edge vectors closes up into one summand."""
     if P.dim_affine not in (1, 2):
         raise NotTwoDimensional("expected a polygon or a segment")
-    n = P.dim_ambient
+    n = len(P.vertices[0])
     if P.dim_affine == 1:
         a, b = P.vertices
         direction = _vec_sub(b, a)

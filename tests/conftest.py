@@ -71,4 +71,7 @@ MALFORMED_EXPRESSIONS = [
     ("x*/y", 2),
     ("()", 1),
     ("x^(2)", 2),
+    # a digit int() cannot read, and a literal longer than int() reads
+    ("x^\u00b2+1/x", 2),
+    ("x^" + "9" * 5000, 2),
 ]

@@ -5,14 +5,18 @@ document it prints, so the tests cover argument wiring, payload
 shapes, and exit codes at the same time.
 """
 
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toriclg import mutation
 from toriclg.cli import build_parser, main
@@ -522,6 +526,40 @@ def test_large_power_hits_the_product_cap(capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 4
     assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+@pytest.mark.parametrize("argv", [["newton", "3^999999999*x+1"], ["period", "3^10000*x+1/x", "--n", "2"]])
+def test_large_coefficient_power_hits_the_power_cap(argv, capsys):
+    start = time.perf_counter()
+    code, doc = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+def _quick(text):
+    # "-" reads stdin, and two adjacent digits may ask for a slow product
+    return text != "-" and re.search(r"\d\d", text) is None
+
+
+# the parser's alphabet, other letters and digits (some that int() cannot
+# read), and decimal literals around the 4,300 digits int() reads
+FUZZ_EXPRESSIONS = st.one_of(
+    st.text(alphabet="xyz_0123456789+-*/^() ", max_size=24).filter(_quick),
+    st.text(alphabet=st.characters(categories=("L", "N", "P", "S", "Zs")), max_size=12).filter(_quick),
+    st.tuples(st.sampled_from(["", "x^", "x^-", "x*", "(x+1)^"]), st.integers(4290, 4310)).map(lambda t: t[0] + "9" * t[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FUZZ_EXPRESSIONS)
+def test_newton_fuzz_ends_in_a_documented_exit_code(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["newton", "--", text])
+    assert code in (0, 2, 3, 4), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    json.loads(out.getvalue())
 
 
 def test_long_edge_hits_the_factor_combination_cap(capsys):

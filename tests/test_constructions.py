@@ -1,6 +1,7 @@
 """Builders: complete-intersection models, Markov triples, weighted-plane
 mutation chains, and the named catalog."""
 
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -230,6 +231,26 @@ def test_galkin_coordinate_search_matches_2x2_oracle():
                 continue
             assert constructions.galkin_mutate(f, triple, slot)[0] == expected
         f, triple = constructions.galkin_mutate(f, triple, 1)
+
+
+def test_galkin_step_over_the_lattice_point_cap_is_refused_up_front():
+    f, triple = constructions.catalog()["p2.f"], T(1, 1, 1)
+    for _ in range(4):
+        f, triple = constructions.galkin_mutate(f, triple, 1)
+    assert triple == T(1, 13, 34)
+    start = time.perf_counter()
+    with pytest.raises(ComplexityLimit, match="879162 lattice points"):
+        constructions.galkin_mutate(f, triple, 0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_catalog_is_parsed_once_and_each_call_gets_a_fresh_dict(monkeypatch):
+    first = constructions.catalog()
+    monkeypatch.setattr(laurent, "parse", None)
+    second = constructions.catalog()
+    assert second == first and second is not first
+    second.pop("p2.f")
+    assert "p2.f" in constructions.catalog()
 
 
 def test_galkin_p114_step_down():

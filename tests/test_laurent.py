@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import MALFORMED_EXPRESSIONS, VAR_POOL, poly_strategy, random_poly
-from toriclg import laurent
+from toriclg import laurent, mutation
 from toriclg.errors import (
+    ComplexityLimit,
     DimensionMismatch,
     DivisionByZero,
+    DomainError,
     NotDivisible,
     NotLaurent,
     NotUnimodular,
@@ -214,3 +217,231 @@ def test_paren_depth_cap():
     with pytest.raises(ParseError) as err:
         laurent.parse("2*" + "(" * (k + 1) + "x" + ")" * (k + 1))
     assert err.value.position == 2 + k
+
+
+def test_power_coefficient_cap():
+    # 3^8000 has 3,818 digits, but the bound 2 bits per factor passes the cap
+    with pytest.raises(ComplexityLimit):
+        laurent.pow(laurent.parse("3*x"), 8000)
+    with pytest.raises(ComplexityLimit):
+        laurent.pow(laurent.parse("x/3"), -8000)
+    assert laurent.pow(laurent.parse("x"), 10**9).terms == {(10**9,): 1}
+    assert laurent.pow(laurent.parse("-x"), -(10**9) - 1).terms == {(-(10**9) - 1,): -1}
+    assert str(laurent.pow(laurent.parse("3"), 7000).terms[()]) == str(3**7000)
+    with pytest.raises(NotLaurent):
+        laurent.pow(laurent.parse("3*x + 1"), -(10**9))
+
+
+# --- the parser as it was before the re scanner, kept as a test oracle -------
+
+_ORACLE_OPS = "+-*/^()"
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _ORACLE_OPS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _OracleParser:
+    def __init__(self, tokens, var_names):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+        self.var_names = var_names
+        self.var_index = {name: i for i, name in enumerate(var_names)}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def parse_expr(self):
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        result = self.parse_term()
+        if sign < 0:
+            result = laurent.neg(result)
+        while self.peek()[0] in "+-":
+            op = self.take()
+            rhs = self.parse_term()
+            result = laurent.add(result, rhs if op[0] == "+" else laurent.neg(rhs))
+        return result
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while self.peek()[0] in "*/":
+            op = self.take()
+            rhs = self.parse_factor()
+            if op[0] == "*":
+                result = laurent.mul(result, rhs)
+            else:
+                try:
+                    result = laurent.exact_divide(result, rhs)
+                except NotDivisible as exc:
+                    raise NotLaurent(str(exc)) from exc
+        return result
+
+    def parse_factor(self):
+        base = self.parse_base()
+        if self.peek()[0] == "^":
+            self.take()
+            sign = 1
+            if self.peek()[0] in "+-":
+                sign = -1 if self.take()[0] == "-" else 1
+            tok = self.take("int")
+            base = laurent.pow(base, sign * int(tok[1]))
+        return base
+
+    def parse_base(self):
+        tok = self.peek()
+        if tok[0] == "int":
+            self.take()
+            return laurent.constant(self.var_names, int(tok[1]))
+        if tok[0] == "ident":
+            self.take()
+            return laurent.variable(self.var_names, self.var_index[tok[1]])
+        if tok[0] == "(":
+            if self.depth == laurent.MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {laurent.MAX_PAREN_DEPTH}", tok[2])
+            self.take()
+            self.depth += 1
+            inner = self.parse_expr()
+            self.depth -= 1
+            self.take(")")
+            return inner
+        raise ParseError(f"expected a number, variable, or '(', found {tok[1] or 'end of input'!r}", tok[2])
+
+
+def _oracle_parse(text, var_names=None):
+    tokens = _oracle_tokenize(text)
+    if var_names is None:
+        seen = []
+        for kind, value, _pos in tokens:
+            if kind == "ident" and value not in seen:
+                seen.append(value)
+        var_names = tuple(seen)
+    else:
+        var_names = tuple(var_names)
+        for kind, value, pos in tokens:
+            if kind == "ident" and value not in var_names:
+                raise ParseError(f"unknown variable {value!r}", pos)
+    parser = _OracleParser(tokens, var_names)
+    result = parser.parse_expr()
+    end = parser.peek()
+    if end[0] != "end":
+        raise ParseError(f"unexpected {end[1]!r}", end[2])
+    return result
+
+
+def _outcome(parse, text, var_names):
+    """(var_names, terms) of a parse, or the error's type, message and position."""
+    try:
+        p = parse(text, var_names)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+    return p.var_names, p.terms
+
+
+_NAMES = st.sampled_from(["x", "y", "z", "_w", "x1", "\u00e9"])
+
+
+def _expressions():
+    """Well-formed expressions, divisions and negative powers included; a
+    division may still leave the Laurent ring, which both parsers report."""
+    space = st.sampled_from(["", " ", "  "])
+    base = st.one_of(st.integers(0, 12).map(str), _NAMES)
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), space, inner).map(lambda t: t[0] + t[2] + t[1] + t[2] + t[3]),
+            st.tuples(inner, st.sampled_from(["", "-", "+"]), st.integers(0, 3)).map(lambda t: "(%s)^%s%d" % t),
+            inner.map(lambda t: "-" + t),
+            inner.map(lambda t: "(" + t + ")"),
+        )
+
+    return st.recursive(base, extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(), st.booleans())
+def test_parse_matches_oracle_on_well_formed_expressions(text, bind):
+    names = ("x", "y", "z", "_w", "x1", "\u00e9") if bind else None
+    assert _outcome(laurent.parse, text, names) == _outcome(_oracle_parse, text, names)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="xy_\u00e92\u0663 +-*/^()&.", max_size=16))
+def test_parse_matches_oracle_on_random_text(text):
+    # a run of digits could ask for a slow power; both parsers share pow
+    assume(not any(a.isdigit() and b.isdigit() for a, b in zip(text, text[1:])))
+    assert _outcome(laurent.parse, text, None) == _outcome(_oracle_parse, text, None)
+
+
+def _assert_clean(r):
+    assert r == laurent.LaurentPoly(r.var_names, dict(r.terms))
+    assert type(r.var_names) is tuple
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == r.nvars and all(type(x) is int for x in e)
+        assert type(c) is Fraction and c != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    poly_strategy(2),
+    poly_strategy(2, nonzero=True),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-2, 4),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+)
+def test_package_built_results_are_clean(p, q, c, k, shift):
+    results = [
+        laurent.add(p, q),
+        laurent.neg(p),
+        laurent.scale(p, c),
+        laurent.mul(p, q),
+        laurent.exact_divide(laurent.mul(p, q), q),
+        laurent.monomial_substitute(p, [[1, 1], [0, 1]], shift, (Fraction(2), Fraction(-1, 3))),
+    ]
+    if k >= 0 or len(q.terms) == 1:
+        results.append(laurent.pow(q, k))
+    factor = laurent.LaurentPoly(p.var_names, {(e[0], 0): c for e, c in q.terms.items()})
+    if not factor.is_zero():
+        # multiplying slices only: every pivot exponent of the input is made nonnegative
+        low = min(e[1] for e in p.terms) if p.terms else 0
+        shifted = laurent.mul(p, laurent.monomial(p.var_names, (0, -min(low, 0))))
+        results.append(mutation.apply_cluster(shifted, mutation.ClusterChange(1, -1, factor)))
+    for r in results:
+        _assert_clean(r)

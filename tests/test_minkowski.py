@@ -32,7 +32,7 @@ def test_face_restriction_examples():
     assert minkowski.face_restriction(f, edge) == laurent.parse("(x^2 + 2*x + 1)/(x*y*z)", V3)
     vertex = _face_with_vertices(P, 0, ((0, 1, 0),))
     assert minkowski.face_restriction(f, vertex) == laurent.parse("y", V3)
-    fake = Face(dim=1, vertex_indices=(0, 1), vertices=((5, 5, 5), (6, 6, 6)))
+    fake = Face(dim_affine=1, vertex_indices=(0, 1), vertices=((5, 5, 5), (6, 6, 6)))
     with pytest.raises(FaceMismatch):
         minkowski.face_restriction(f, fake)
 
@@ -220,6 +220,29 @@ def test_search_report_matches_verify_presentation_on_catalog_models(name):
     pres, report = minkowski.search_presentation(f)
     assert pres is not None
     assert minkowski.verify_presentation(f, pres) == (True, report)
+
+
+def test_search_trusts_its_candidates(monkeypatch):
+    # the candidates fit the face by construction: no face hull, no sum
+    # hull and no irreducibility or translation check on the search path
+    f = constructions.catalog()["cubic4.f00"]
+    expected = minkowski.search_presentation(f)
+    P = polytope.newton_polytope(f)
+    faces = {minkowski._face_key(F.vertices) for d in (1, 2) for F in polytope.faces(P, d)}
+    hull = polytope.convex_hull
+
+    def no_face_hull(points):
+        points = list(points)
+        assert minkowski._face_key(points) not in faces
+        return hull(points)
+
+    def forbidden(*args):
+        raise AssertionError("structural check on the search path")
+
+    monkeypatch.setattr(polytope, "convex_hull", no_face_hull)
+    for module, name in ((polytope, "minkowski_sum"), (minkowski, "_is_irreducible"), (minkowski, "_canonical_polytope")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert minkowski.search_presentation(f) == expected
 
 
 def _unit_pieces(n):
