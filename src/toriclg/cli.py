@@ -80,7 +80,7 @@ def _approx(node):
     if isinstance(node, str):
         try:
             return float(Fraction(node))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             return None
     if isinstance(node, dict):
         return {k: _approx(v) for k, v in node.items()}
@@ -93,25 +93,19 @@ def _face_label(key):
     return " ".join("(" + ",".join(str(x) for x in v) + ")" for v in key)
 
 
-def _emit(result, args):
+def _render(result, args):
+    """The whole output text, built before anything is printed."""
     if getattr(args, "float_shadow", False):
-        result.payload = dict(result.payload)
-        result.payload["approx"] = _approx({k: v for k, v in result.payload.items()})
+        result.payload = dict(result.payload, approx=_approx(result.payload))
     document = {
         "status": result.status,
         "payload": result.payload,
         "diagnostics": list(result.diagnostics),
     }
     if getattr(args, "emit", "json") == "json":
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print("status: %s" % result.status)
-        for line in result.diagnostics:
-            print("note: %s" % line)
-        print(json.dumps(result.payload, indent=2, sort_keys=True))
-    if result.status == "ok":
-        return 0
-    return result.exit_code if result.exit_code else 2
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    notes = "".join("note: %s\n" % line for line in result.diagnostics)
+    return "status: %s\n%s%s\n" % (result.status, notes, json.dumps(result.payload, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------- commands
@@ -547,18 +541,21 @@ def _run(argv):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        result = args.func(args)
-    except DomainError as exc:
-        result = CommandResult(
-            "fail",
-            {"error": type(exc).__name__, "message": str(exc)},
-            ["command failed: %s" % exc],
-            exit_code=exc.exit_code,
-        )
+        try:
+            result = args.func(args)
+        except DomainError as exc:
+            result = CommandResult(
+                "fail",
+                {"error": type(exc).__name__, "message": str(exc)},
+                ["command failed: %s" % exc],
+                exit_code=exc.exit_code,
+            )
+        text = _render(result, args)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    return _emit(result, args)
+    sys.stdout.write(text)
+    return 0 if result.status == "ok" else result.exit_code or 2
 
 
 def main(argv=None):

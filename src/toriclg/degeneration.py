@@ -133,8 +133,7 @@ def _extreme_generators(C):
     so its extreme rays are the edges of H at the origin (Ziegler,
     Lectures on Polytopes, 1995); each ray holds exactly one generator,
     the far end of its edge.  The origin is a vertex of H exactly when C
-    is pointed.  Like every hull, H raises DimensionTooLarge past
-    polytope.MAX_AMBIENT_DIM.
+    is pointed.  H is capped like every hull, by polytope.HULL_WORK_CAP.
     """
     origin = (0,) * C.dim_ambient
     H = polytope.convex_hull((origin,) + C.generators)
@@ -151,8 +150,7 @@ def slice(C, cos, level):
     plane, and those are what the returned rational polytope spans.
     Raises UnboundedSlice when no extreme ray meets the plane, which
     includes every cone that contains a line: such a level set has no
-    vertices.  Cones in more than polytope.MAX_AMBIENT_DIM dimensions
-    raise DimensionTooLarge.
+    vertices.
     """
     if level not in (1, -1):
         raise ValueError("level must be +1 or -1")

@@ -44,10 +44,6 @@ class ZeroPolynomial(DomainError):
     pass
 
 
-class DimensionTooLarge(DomainError):
-    pass
-
-
 class EmptyInput(DomainError):
     pass
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers and rationals.
 
 All matrices are sequences of row sequences; nothing here is sized for
-large inputs (ambient dimensions stay below 10 throughout the package),
+large inputs (their callers cap the work, as polytope.HULL_WORK_CAP does),
 so the implementations favor exactness and clarity.  There are two
 eliminations: one fraction-free (Bareiss) elimination over Q, from which
 ranks, pivot columns, determinants and primitive integer kernel rays are

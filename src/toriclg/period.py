@@ -12,7 +12,7 @@ only if -e lies in (j - i)·Q. Q holds the origin, hence k·Q ⊆ (k + 1)·Q,
 and one test against (N - i)·Q covers every a_j with i < j <= N: a term
 with -e outside it is useless for all of them. The Newton polytope of f
 has nested dilates only when it holds the origin, which is why the
-origin is added.
+origin is added. Q is built in every dimension: one prune path.
 """
 
 import math
@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from . import laurent, polytope
-from .errors import ZeroPolynomial
+from .errors import ComplexityLimit, ZeroPolynomial
 
 
 @dataclass(frozen=True)
@@ -35,33 +35,28 @@ class PeriodSequence:
         return self.values[i]
 
 
-def _check_nonzero(f):
+def _check_input(f, N):
     if not f.terms:
         raise ZeroPolynomial("period sequence needs a nonzero polynomial")
+    if N < 0:
+        raise ValueError("N must be nonnegative")
 
 
 def _prune_cuts(f):
-    """Inequalities (a, b), meaning a·x <= b, that cut out the prune polytope.
-
-    With 1 to polytope.MAX_AMBIENT_DIM variables this is the facet list of
-    Q = conv(supp(f) ∪ {0}); each affine equality a·x = b of Q enters as the
-    pair a·x <= b, -a·x <= -b, so the cuts describe Q itself when it is
-    lower-dimensional. Otherwise the hull cannot be built, and the cuts are
-    the 2n faces of the box |x_k| <= max |s_k| over supp(f). The box also
-    holds supp(f) and the origin, so it prunes correctly, only less.
+    """Inequalities (a, b), meaning a·x <= b, that cut out the prune polytope
+    Q = conv(supp(f) ∪ {0}): its facet list, and each affine equality
+    a·x = b of Q as the pair a·x <= b, -a·x <= -b, so the cuts describe Q
+    itself when it is lower-dimensional. The hull is built in any number of
+    variables and raises ComplexityLimit past polytope.HULL_WORK_CAP; a
+    constant in no variables has nothing to prune and gets no cuts.
     """
     n = f.nvars
-    if 0 < n <= polytope.MAX_AMBIENT_DIM:
-        Q = polytope.convex_hull(list(f.terms) + [(0,) * n])
-        cuts = list(Q.facet_inequalities)
-        for a, b in Q.affine_equalities:
-            cuts += [(a, b), (tuple(-x for x in a), -b)]
-        return cuts
-    cuts = []
-    for k in range(n):
-        reach = max(abs(s[k]) for s in f.terms)
-        unit = tuple(int(j == k) for j in range(n))
-        cuts += [(unit, reach), (tuple(-x for x in unit), reach)]
+    if n == 0:
+        return []
+    Q = polytope.convex_hull(list(f.terms) + [(0,) * n])
+    cuts = list(Q.facet_inequalities)
+    for a, b in Q.affine_equalities:
+        cuts += [(a, b), (tuple(-x for x in a), -b)]
     return cuts
 
 
@@ -74,10 +69,10 @@ def period_sequence(f, N):
     only while -e lies in (N - i)·Q, one dot-product test per cut from
     _prune_cuts: a·(-e) <= (N - i)·b. Dropped terms cannot contribute to
     any later constant term, so the pruned and full computations agree.
+    Each step is one product, so, like laurent.mul, a step of more than
+    laurent.MUL_TERM_PAIR_CAP term pairs raises ComplexityLimit.
     """
-    _check_nonzero(f)
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    _check_input(f, N)
     n = f.nvars
     L = math.lcm(*(c.denominator for c in f.terms.values()))
     terms = [(s, int(c * L)) for s, c in f.terms.items()]
@@ -86,6 +81,8 @@ def period_sequence(f, N):
     values = [Fraction(1)]
     power = {origin: 1}
     for i in range(1, N + 1):
+        if len(power) * len(terms) > laurent.MUL_TERM_PAIR_CAP:
+            raise ComplexityLimit("a period step exceeds the cap of %d term pairs" % laurent.MUL_TERM_PAIR_CAP)
         produced = {}
         for e, c in power.items():
             for s, d in terms:
@@ -103,9 +100,7 @@ def period_sequence(f, N):
 
 def period_oracle(f, N):
     """Same sequence by unpruned full expansion; test reference path."""
-    _check_nonzero(f)
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    _check_input(f, N)
     values = [Fraction(1)]
     power = laurent.one(f.var_names)
     for _ in range(N):

@@ -21,7 +21,6 @@ from . import intlinalg
 from .errors import (
     ComplexityLimit,
     DimensionMismatch,
-    DimensionTooLarge,
     EmptyInput,
     InvalidDimension,
     NotLattice,
@@ -29,10 +28,10 @@ from .errors import (
     ZeroPolynomial,
 )
 
-MAX_AMBIENT_DIM = 6
+HULL_WORK_CAP = 10_000_000
 LATTICE_POINT_CAP = 2_000_000
 MAX_EDGE_SLOTS = 12
-MAX_EQUIVALENCE_TUPLES = 100_000
+EQUIVALENCE_WORK_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -118,13 +117,24 @@ def _hull_2d(coords):
     return cycle, facets
 
 
+def _charge(work, units):
+    """work + units, or ComplexityLimit when that passes HULL_WORK_CAP."""
+    work += units
+    if work > HULL_WORK_CAP:
+        raise ComplexityLimit("convex hull needs over %d units of work" % HULL_WORK_CAP)
+    return work
+
+
 def _hull_incremental(coords, d, init_idx):
     """Beneath-beyond over integer coordinates; returns simplex facets
     (normal, offset, frozenset of point indices) triangulating the boundary.
 
     init_idx must index d + 1 affinely independent points; their sum is
-    d + 1 times an interior reference point.  The ArithmeticErrors below
-    mark broken invariants, not hard inputs."""
+    d + 1 times an interior reference point.  Work is charged against
+    HULL_WORK_CAP before it is done: d^3 per hyperplane solve, d per facet
+    tested for visibility (facets can grow like n^(d/2), McMullen 1970).
+    The ArithmeticErrors below mark broken invariants, not hard inputs."""
+    work = _charge(0, (d + 1) * d**3)
     ref = tuple(sum(coords[i][k] for i in init_idx) for k in range(d))
     facets = []
     for omit in init_idx:
@@ -142,6 +152,7 @@ def _hull_incremental(coords, d, init_idx):
         if idx in init_set:
             continue
         p = coords[idx]
+        work = _charge(work, d * len(facets))
         # a point on a facet hyperplane counts as visible so it gets
         # stitched in and the triangulation stays consistent
         visible = [f for f in facets if _dot(f[0], p) >= f[1]]
@@ -151,10 +162,10 @@ def _hull_incremental(coords, d, init_idx):
         for _n, _b, verts in visible:
             for ridge in combinations(sorted(verts), d - 1):
                 ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+        horizon = [ridge for ridge, count in ridge_count.items() if count == 1]
+        work = _charge(work, len(horizon) * d**3)
         survivors = [f for f in facets if _dot(f[0], p) < f[1]]
-        for ridge, count in ridge_count.items():
-            if count != 1:
-                continue
+        for ridge in horizon:
             plane = _hyperplane(coords, list(ridge) + [idx], d)
             if plane is None:
                 raise ArithmeticError("degenerate horizon ridge")
@@ -200,8 +211,6 @@ def _build(points):
     n = len(cleaned[0])
     if any(len(p) != n for p in cleaned):
         raise DimensionMismatch("points of mixed dimension")
-    if n > MAX_AMBIENT_DIM:
-        raise DimensionTooLarge("ambient dimension %d exceeds %d" % (n, MAX_AMBIENT_DIM))
     if n == 0:
         raise InvalidDimension("ambient dimension must be positive")
     base = cleaned[0]
@@ -355,7 +364,11 @@ def faces(P, d):
 
 
 def edges(P):
-    return faces(P, 1)
+    """faces(P, 1), read off the edge graph rather than the face lattice."""
+    if P.dim_affine < 1:
+        raise InvalidDimension("no faces of dimension 1")
+    v = P.vertices
+    return [Face(1, (i, j), (v[i], v[j])) for i, adj in enumerate(_edge_graph(P)) for j in adj if i < j]
 
 
 def edge_lattice_length(e):
@@ -535,8 +548,8 @@ def lattice_equivalence_candidates(P, Q):
     build A_d = W adj(V) / det(V) and must be integral with |det| = 1.  A_d
     lifts to A = U_Q^-1 diag(A_d, I) U_P.  For each w0 the maps come in the
     order of the Q indices of the images of P's first affine basis.
-    ComplexityLimit when more than MAX_EQUIVALENCE_TUPLES tuples W would
-    be tried; a polytope with a non-integer vertex yields nothing."""
+    ComplexityLimit past EQUIVALENCE_WORK_CAP, each tuple W weighing d^3;
+    a polytope with a non-integer vertex yields nothing."""
     if P.dim_ambient != Q.dim_ambient or P.dim_affine != Q.dim_affine:
         return
     if len(P.vertices) != len(Q.vertices) or not (is_lattice(P) and is_lattice(Q)):
@@ -551,8 +564,8 @@ def lattice_equivalence_candidates(P, Q):
     if sorted(map(len, P_adj)) != sorted(map(len, Q_adj)):
         return
     starts = [k for k, adj in enumerate(Q_adj) if len(adj) == len(P_adj[0])]
-    if len(starts) * math.perm(len(P_adj[0]), d) > MAX_EQUIVALENCE_TUPLES:
-        raise ComplexityLimit("equivalence scan needs over %d frame images" % MAX_EQUIVALENCE_TUPLES)
+    if len(starts) * math.perm(len(P_adj[0]), d) * d**3 > EQUIVALENCE_WORK_CAP:
+        raise ComplexityLimit("equivalence scan needs over %d units of work" % EQUIVALENCE_WORK_CAP)
     U_P, _, coords_P = _frame_coords(P.vertices)
     _, U_Q_inv, coords_Q = _frame_coords(Q.vertices)
     neighbours = [coords_P[j] for j in P_adj[0]]

@@ -537,6 +537,89 @@ def test_large_coefficient_power_hits_the_power_cap(argv, capsys):
     assert doc["payload"]["error"] == "ComplexityLimit"
 
 
+# the origin is interior; t's two terms are the apexes of a bipyramid over
+# the 6-simplex, the only vertices of degree 7, so the equivalence scan
+# tries 2 * 7! frame tuples; the second is the first under t -> t*x
+SEVEN_VARIABLES = "t + 1/t + x + y + z + u + v + w + 1/(x*y*z*u*v*w)"
+SEVEN_VARIABLES_SHEARED = "t*x + 1/(t*x) + x + y + z + u + v + w + 1/(x*y*z*u*v*w)"
+
+
+def test_seven_variables_build_hulls(capsys):
+    code, doc = run_cli(["newton", SEVEN_VARIABLES], capsys)
+    assert code == 0
+    assert doc["payload"]["dim_affine"] == 7
+    assert len(doc["payload"]["polytope"]["vertices"]) == 9
+    code, doc = run_cli(["period", SEVEN_VARIABLES, "--n", "4"], capsys)
+    assert code == 0
+    # a_2 pairs t with 1/t; a_4 adds (t, 1/t) twice: 4! / (2! 2!)
+    assert doc["payload"]["values"] == ["1", "0", "2", "0", "6"]
+    code, doc = run_cli(["equiv", SEVEN_VARIABLES, SEVEN_VARIABLES_SHEARED], capsys)
+    assert code == 0
+    witness = mutation.steps_from_json([doc["payload"]["witness"]], tuple("txyzuvw"))[0]
+    f, g = parse(SEVEN_VARIABLES), parse(SEVEN_VARIABLES_SHEARED, tuple("txyzuvw"))
+    assert mutation.apply_toric(f, witness) == g
+
+
+def test_seven_variable_scan_over_the_work_cap_exits_4(capsys):
+    # 8 starts * 7! tuples * 7^3 = 13.8 M units, over EQUIVALENCE_WORK_CAP
+    start = time.perf_counter()
+    code, doc = run_cli(
+        ["equiv", "x+y+z+u+v+w+t+1/(x*y*z*u*v*w*t)", "x+y+z+u+v+w+t+2/(x*y*z*u*v*w*t)"], capsys
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+def test_hull_over_the_work_cap_exits_4(capsys):
+    # 200 variables: the first simplex alone charges 201 * 200^3 units
+    code, doc = run_cli(["hori-vafa", "--N", "200"], capsys)
+    assert code == 0
+    start = time.perf_counter()
+    code, doc = run_cli(["period", doc["payload"]["polynomial"], "--n", "2"], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_iv_mutate_on_cross_polytopes_past_six_dimensions(n, tmp_path, capsys):
+    # slicing by r = e_1 + e_2: both slices are unit segments
+    data = {
+        "polytope": {"dim": n, "vertices": [[s * int(k == i) for k in range(n)] for i in range(n) for s in (1, -1)]},
+        "r": [1, 1] + [0] * (n - 1),
+        "s_matrix": [[1] + [0] * n] + [[0, 0] + [int(k == i) for k in range(n - 1)] for i in range(n - 1)],
+        "C1": [[0] * (n - 1) + [1], [1] + [0] * (n - 2) + [1]],
+        "C2": [[0] * (n - 1) + [1]],
+    }
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, doc = run_cli(["iv-mutate", str(path)], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert doc["payload"]["polytope"]["dim"] == n
+
+
+@pytest.mark.parametrize(
+    "argv", [["newton", "x^" + "9" * 4300 + "*x^" + "9" * 4300], ["period", "3^5000*3^5000*x+1/x", "--n", "2"]]
+)
+def test_unprintable_result_is_one_error_line(argv, capsys):
+    # each literal prints, but the exponent sum and coefficient product have
+    # more digits than int-to-text conversion allows
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_float_shadow_of_a_value_past_float_range_is_null(capsys):
+    code, doc = run_cli(["period", "10^400*x+1/x", "--n", "2", "--float"], capsys)
+    assert code == 0
+    assert doc["payload"]["approx"]["values"] == [1.0, 0.0, None]
+
+
 def _quick(text):
     # "-" reads stdin, and two adjacent digits may ask for a slow product
     return text != "-" and re.search(r"\d\d", text) is None

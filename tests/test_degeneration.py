@@ -11,7 +11,6 @@ from toriclg.degeneration import Cosection, PolyhedralCone, SliceDecomposition
 from toriclg.errors import (
     BadFactorization,
     DimensionMismatch,
-    DimensionTooLarge,
     InvalidCone,
     InvalidCosection,
     InvalidDecomposition,
@@ -203,10 +202,10 @@ def test_cone_over_5d_cross_polytope_slices():
     assert degeneration.slice(C, cos, -1).vertices == ((-1, 0, 0, 0, 1), (0, 0, 0, 0, 1))
 
 
-def test_cone_over_6d_cross_polytope_is_too_large():
+def test_cone_over_6d_cross_polytope_slices():
     C, cos = _cone_over_cross_polytope(6)
-    with pytest.raises(DimensionTooLarge):
-        degeneration.slice(C, cos, 1)
+    assert degeneration.slice(C, cos, 1).vertices == ((0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
+    assert degeneration.slice(C, cos, -1).vertices == ((-1, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1))
 
 
 def test_decomposition_roundtrip():

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_nonzero_poly
 from toriclg import intlinalg, laurent, period, polytope
-from toriclg.errors import ZeroPolynomial
+from toriclg.errors import ComplexityLimit, ZeroPolynomial
 
 
 def test_p2_model_sequence():
@@ -142,9 +144,40 @@ def test_constant_without_variables():
         assert_matches_oracle(f, 5)
 
 
-def test_box_fallback_beyond_hull_dimension():
+def test_hull_prune_beyond_six_variables():
     names = ("a", "b", "c", "d", "e", "g", "h")
     f = laurent.parse("a*b + b*c^2 + c + d/e + e*g + g*h + h + 1/(a*b*c*d*g*h) + a + 1/a - 2", names)
-    assert f.nvars > polytope.MAX_AMBIENT_DIM
-    assert len(period._prune_cuts(f)) == 2 * f.nvars
+    assert f.nvars == 7
+    Q = polytope.convex_hull(list(f.terms) + [(0,) * f.nvars])
+    assert period._prune_cuts(f) == list(Q.facet_inequalities)
+    assert len(Q.facet_inequalities) == 21
     assert_matches_oracle(f, 6)
+
+
+@st.composite
+def wide_models(draw):
+    """Models in 7 to 9 variables: a few exponent vectors in {-1, 0, 1}^n,
+    often with the negative of their sum, so constant terms appear."""
+    n = draw(st.integers(7, 9))
+    exponents = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        exponents.append(tuple(-sum(col) for col in zip(*exponents)))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    terms = {e: draw(coefficient) for e in exponents}
+    return laurent.LaurentPoly(tuple("x%d" % k for k in range(n)), terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_models(), st.integers(0, 7))
+def test_hull_prune_matches_oracle_in_7_to_9_variables(f, N):
+    assert_matches_oracle(f, N)
+
+
+def test_period_step_obeys_the_product_cap(monkeypatch):
+    # the second step multiplies the 4 kept terms of f by f's 4 terms
+    f = laurent.parse("x + 1/x + y + 1/y")
+    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 16)
+    assert period.period_sequence(f, 2).values == (1, 0, 4)
+    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 15)
+    with pytest.raises(ComplexityLimit):
+        period.period_sequence(f, 2)

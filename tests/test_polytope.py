@@ -12,7 +12,6 @@ from toriclg import polytope as pt
 from toriclg.errors import (
     ComplexityLimit,
     DimensionMismatch,
-    DimensionTooLarge,
     EmptyInput,
     InvalidDimension,
     NotTwoDimensional,
@@ -39,8 +38,15 @@ def test_hull_single_point():
 def test_hull_errors():
     with pytest.raises(EmptyInput):
         pt.convex_hull([])
-    with pytest.raises(DimensionTooLarge):
-        pt.convex_hull([(0,) * 7, (1,) * 7])
+    # no dimension cap: a segment in 7-D builds, and a 100-simplex's first
+    # simplex alone charges 101 * 100^3 units, past HULL_WORK_CAP
+    segment = pt.convex_hull([(0,) * 7, (1,) * 7])
+    assert segment.vertices == ((0,) * 7, (1,) * 7)
+    assert segment.dim_affine == 1
+    n = 100
+    assert (n + 1) * n**3 > pt.HULL_WORK_CAP
+    with pytest.raises(ComplexityLimit):
+        pt.convex_hull([tuple(int(i == k) for k in range(n)) for i in range(n)] + [(-1,) * n])
     with pytest.raises(DimensionMismatch):
         pt.convex_hull([(0, 0), (1, 1, 1)])
 
@@ -181,12 +187,12 @@ def _oracle_facets(points):
 
 
 @st.composite
-def degenerate_point_sets(draw):
+def degenerate_point_sets(draw, dims=(3, 6), min_k=1):
     """(points, ambient): points spanning Z^k with repeated, collinear and
     coplanar ones among them, and their images under an injective affine
-    map into Z^n, n from 3 to 6 and k from 1 to n."""
-    n = draw(st.integers(3, 6))
-    k = draw(st.integers(1, n))
+    map into Z^n, n in the range dims and k from min_k to n."""
+    n = draw(st.integers(*dims))
+    k = draw(st.integers(min(min_k, n), n))
     small = st.integers(-2, 2)
     simplex = [(0,) * k] + [
         tuple(draw(st.sampled_from((-2, -1, 1, 2))) if j == i else draw(st.integers(0, 1)) * (j < i) for j in range(k))
@@ -218,6 +224,16 @@ def degenerate_point_sets(draw):
 @settings(max_examples=120, deadline=None)
 @given(degenerate_point_sets())
 def test_hull_facets_match_brute_force_oracle(case):
+    _assert_hull_matches_oracle(case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(degenerate_point_sets(dims=(7, 8), min_k=5))
+def test_hull_facets_match_brute_force_oracle_in_7_and_8_dimensions(case):
+    _assert_hull_matches_oracle(case)
+
+
+def _assert_hull_matches_oracle(case):
     points, ambient = case
     P = pt.convex_hull(ambient)
     assert P.dim_affine == len(points[0])
@@ -236,6 +252,38 @@ def test_hull_facets_match_brute_force_oracle(case):
         if through and {points[j] for j in frozenset.intersection(*through)} == {p}:
             vertices.add(ambient[i])
     assert set(P.vertices) == vertices
+
+
+def test_hull_work_is_charged_before_it_is_done(monkeypatch):
+    # the unit 3-simplex is one charge of 4 * 3^3 = 108; (1, 1, 1) then
+    # tests its 4 facets at 3 units each, sees one and solves for the 3
+    # new facets on that facet's edges at 27 units each: 108 + 12 + 81
+    simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for points, work in ((simplex, 108), (simplex + [(1, 1, 1)], 201)):
+        monkeypatch.setattr(pt, "HULL_WORK_CAP", work)
+        assert len(pt.convex_hull(points).vertices) == len(points)
+        monkeypatch.setattr(pt, "HULL_WORK_CAP", work - 1)
+        with pytest.raises(ComplexityLimit):
+            pt.convex_hull(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_point_sets(dims=(1, 6)))
+def test_edges_match_the_face_lattice(case):
+    P = pt.convex_hull(case[1])
+    assert pt.edges(P) == pt.faces(P, 1)
+    with pytest.raises(InvalidDimension):
+        pt.edges(pt.convex_hull(case[1][:1]))
+
+
+def test_edges_of_a_10d_cross_polytope():
+    # every pair of vertices but the 10 antipodal ones is an edge; the
+    # face lattice would list all 3^10 - 1 faces first
+    n = 10
+    P = pt.convex_hull([tuple(s * int(k == i) for k in range(n)) for i in range(n) for s in (1, -1)])
+    found = {frozenset(e.vertices) for e in pt.edges(P)}
+    assert len(found) == 190 - n
+    assert all(any(a + b for a, b in zip(*pair)) for pair in found)
 
 
 @settings(max_examples=60, deadline=None)
