@@ -47,12 +47,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_source(value):
-    if value == "-":
-        return sys.stdin.read()
-    return value
-
-
 def _read_file(path):
     if path == "-":
         return sys.stdin.read()
@@ -61,7 +55,7 @@ def _read_file(path):
 
 
 def _poly(value, var_names=None):
-    return laurent.parse(_read_source(value).strip(), var_names)
+    return laurent.parse((sys.stdin.read() if value == "-" else value).strip(), var_names)
 
 
 def _poly_pair(a_value, b_value):

@@ -17,6 +17,7 @@ from math import gcd
 from . import intlinalg, laurent, mutation, polytope
 from .errors import (
     BadFactorization,
+    ComplexityLimit,
     DimensionMismatch,
     InvalidCone,
     InvalidCosection,
@@ -64,14 +65,13 @@ class Cosection:
             raise InvalidCosection("covector needs length at least 2")
         if r[-1] != 0:
             raise InvalidCosection("last coordinate of r must be zero")
-        g = 0
-        for x in r:
-            g = gcd(g, abs(x))
-        if g != 1:
+        if gcd(*r) != 1:
             raise InvalidCosection("covector must be primitive")
         s = tuple(tuple(int(x) for x in row) for row in self.s_matrix)
         if len(s) != len(r) - 1 or any(len(row) != len(r) for row in s):
             raise InvalidCosection("retraction matrix must have shape (n-1) x n")
+        if len(r) ** 3 > polytope.EQUIVALENCE_WORK_CAP:
+            raise ComplexityLimit("a retraction in %d variables is past the equivalence work cap" % len(r))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s_matrix", s)
         kernel = intlinalg.integer_kernel_basis([list(r)])

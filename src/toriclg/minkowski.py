@@ -109,7 +109,7 @@ def edge_binomials_ok(f):
         if f.terms[e] != 1:
             violations.append({"edge": (tuple(e),), "point": tuple(e), "expected": 1, "found": f.terms[e]})
         return (not violations, tuple(violations))
-    for edge in polytope.faces(P, 1):
+    for edge in polytope.edges(P):
         n = polytope.edge_lattice_length(edge)
         a, b = edge.vertices
         step = tuple((y - x) // n for x, y in zip(a, b))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg, laurent, polytope
-from .errors import InvalidChange, NotDivisible, NotLaurent, NotUnimodular
+from .errors import ComplexityLimit, InvalidChange, NotDivisible, NotLaurent, NotUnimodular
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class ToricChange:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InvalidChange("matrix must be square")
+        if n**3 > polytope.EQUIVALENCE_WORK_CAP:
+            raise ComplexityLimit("a change of %d variables is past the equivalence work cap" % n)
         if abs(intlinalg.det([list(r) for r in rows])) != 1:
             raise NotUnimodular("matrix determinant must be +-1")
         shift = tuple(int(x) for x in (self.shift if self.shift is not None else (0,) * n))

@@ -69,8 +69,8 @@ def period_sequence(f, N):
     only while -e lies in (N - i)·Q, one dot-product test per cut from
     _prune_cuts: a·(-e) <= (N - i)·b. Dropped terms cannot contribute to
     any later constant term, so the pruned and full computations agree.
-    Each step is one product, so, like laurent.mul, a step of more than
-    laurent.MUL_TERM_PAIR_CAP term pairs raises ComplexityLimit.
+    Like laurent.mul, a step of more than laurent.MUL_TERM_PAIR_CAP term
+    pairs raises ComplexityLimit, and so does a prune of more terms x cuts.
     """
     _check_input(f, N)
     n = f.nvars
@@ -88,6 +88,8 @@ def period_sequence(f, N):
             for s, d in terms:
                 key = tuple(map(add, e, s))
                 produced[key] = produced.get(key, 0) + c * d
+        if len(produced) * len(cuts) > laurent.MUL_TERM_PAIR_CAP:
+            raise ComplexityLimit("a period prune exceeds the cap of %d term-cut tests" % laurent.MUL_TERM_PAIR_CAP)
         remaining = N - i
         power = {
             e: c

@@ -125,16 +125,16 @@ def _charge(work, units):
     return work
 
 
-def _hull_incremental(coords, d, init_idx):
+def _hull_incremental(coords, d, init_idx, work):
     """Beneath-beyond over integer coordinates; returns simplex facets
     (normal, offset, frozenset of point indices) triangulating the boundary.
 
     init_idx must index d + 1 affinely independent points; their sum is
-    d + 1 times an interior reference point.  Work is charged against
-    HULL_WORK_CAP before it is done: d^3 per hyperplane solve, d per facet
+    d + 1 times an interior reference point.  Work is charged on top of the
+    caller's work before it is done: d^3 per hyperplane solve, d per facet
     tested for visibility (facets can grow like n^(d/2), McMullen 1970).
     The ArithmeticErrors below mark broken invariants, not hard inputs."""
-    work = _charge(0, (d + 1) * d**3)
+    work = _charge(work, (d + 1) * d**3)
     ref = tuple(sum(coords[i][k] for i in init_idx) for k in range(d))
     facets = []
     for omit in init_idx:
@@ -181,7 +181,7 @@ def _hull_incremental(coords, d, init_idx):
     return facets
 
 
-def _hull_coords(coords, d, basis_idx):
+def _hull_coords(coords, d, basis_idx, work):
     """Facet list [(normal, offset)] of the hull of full-rank affine coords."""
     if d == 0:
         return []
@@ -190,7 +190,7 @@ def _hull_coords(coords, d, basis_idx):
         return [((1,), max(values)), ((-1,), -min(values))]
     if d == 2:
         return _hull_2d(coords)[1]
-    simplices = _hull_incremental(coords, d, [0] + basis_idx)
+    simplices = _hull_incremental(coords, d, [0] + basis_idx, work)
     return sorted({(n, b) for n, b, _verts in simplices})
 
 
@@ -206,9 +206,11 @@ def _build(points):
     All-int points are read as int, any other entry makes every entry a
     Fraction; vertices come back as int exactly when all are integral, and
     the offsets, taken at vertices, follow their type."""
+    n, m = len(points[0]), len(points)
+    # charged up front: eliminations on the n x m differences, n - d equalities
+    work = _charge(0, n * (m * min(n, m) + n))
     entry = int if all(isinstance(x, int) for p in points for x in p) else Fraction
     cleaned = sorted({tuple(entry(x) for x in p) for p in points})
-    n = len(cleaned[0])
     if any(len(p) != n for p in cleaned):
         raise DimensionMismatch("points of mixed dimension")
     if n == 0:
@@ -223,7 +225,7 @@ def _build(points):
     if entry is Fraction:
         scale = math.lcm(*(x.denominator for c in coords for x in c))
         coords = [tuple(x.numerator * (scale // x.denominator) for x in c) for c in coords]
-    facets_aff = _hull_coords(coords, d, basis_idx)
+    facets_aff = _hull_coords(coords, d, basis_idx, work)
 
     # vertices: points where the tight facet normals span the full affine
     # rank (d = 0: the one point, with no facets)
@@ -379,10 +381,7 @@ def edge_lattice_length(e):
     diffs = _vec_sub(b, a)
     if any(Fraction(x).denominator != 1 for x in diffs):
         raise NotLattice("edge endpoints are not lattice points")
-    g = 0
-    for x in diffs:
-        g = math.gcd(g, abs(int(x)))
-    return g
+    return math.gcd(*(int(x) for x in diffs))
 
 
 def is_primitive(P):
@@ -548,8 +547,9 @@ def lattice_equivalence_candidates(P, Q):
     build A_d = W adj(V) / det(V) and must be integral with |det| = 1.  A_d
     lifts to A = U_Q^-1 diag(A_d, I) U_P.  For each w0 the maps come in the
     order of the Q indices of the images of P's first affine basis.
-    ComplexityLimit past EQUIVALENCE_WORK_CAP, each tuple W weighing d^3;
-    a polytope with a non-integer vertex yields nothing."""
+    ComplexityLimit, before any work, past EQUIVALENCE_WORK_CAP with each
+    tuple W weighing n^3 (frames, lifts and the caller's check of each map
+    are n x n work); a polytope with a non-integer vertex yields nothing."""
     if P.dim_ambient != Q.dim_ambient or P.dim_affine != Q.dim_affine:
         return
     if len(P.vertices) != len(Q.vertices) or not (is_lattice(P) and is_lattice(Q)):
@@ -564,7 +564,7 @@ def lattice_equivalence_candidates(P, Q):
     if sorted(map(len, P_adj)) != sorted(map(len, Q_adj)):
         return
     starts = [k for k, adj in enumerate(Q_adj) if len(adj) == len(P_adj[0])]
-    if len(starts) * math.perm(len(P_adj[0]), d) * d**3 > EQUIVALENCE_WORK_CAP:
+    if len(starts) * math.perm(len(P_adj[0]), d) * n**3 > EQUIVALENCE_WORK_CAP:
         raise ComplexityLimit("equivalence scan needs over %d units of work" % EQUIVALENCE_WORK_CAP)
     U_P, _, coords_P = _frame_coords(P.vertices)
     _, U_Q_inv, coords_Q = _frame_coords(Q.vertices)

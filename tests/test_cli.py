@@ -582,6 +582,66 @@ def test_hull_over_the_work_cap_exits_4(capsys):
     assert doc["payload"]["error"] == "ComplexityLimit"
 
 
+# 1,000 variables: a simplex, whose ambient eliminations alone charge
+# 1000 * (1001 * 1000 + 1000) hull units, and a segment, whose hull is cheap
+# but whose equivalence scan weighs 1000^3 per frame tuple
+PRODUCT_1000 = "*".join("x%d" % i for i in range(1000))
+SIMPLEX_1000 = PRODUCT_1000.replace("*", "+") + "+1/(" + PRODUCT_1000 + ")"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["newton", SIMPLEX_1000],
+        ["period", SIMPLEX_1000, "--n", "2"],
+        ["equiv", PRODUCT_1000 + "+1", PRODUCT_1000 + "+2"],
+        # equal inputs: the identity change is 1000 x 1000, checked in 1000^3
+        ["equiv", PRODUCT_1000 + "+1", PRODUCT_1000 + "+1"],
+    ],
+)
+def test_thousand_variable_inputs_exit_4_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, doc = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+def test_thousand_variable_cosection_exits_4_at_once(tmp_path, capsys):
+    # the retraction check is (n + 1)^3 work, refused before it is done
+    n = 1000
+    data = {
+        "polytope": {"dim": n, "vertices": [[0] * n, [1] * n]},
+        "r": [1, 1] + [0] * (n - 1),
+        "s_matrix": [[1] + [0] * n] + [[0, 0] + [int(k == i) for k in range(n - 1)] for i in range(n - 1)],
+        "C1": [[0] * n],
+        "C2": [[0] * n],
+    }
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, doc = run_cli(["iv-mutate", str(path)], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    assert "retraction" in doc["payload"]["message"]
+
+
+CROSS_4 = "w + 1/w + x + 1/x + y + 1/y + z + 1/z"
+CROSS_5 = "v + 1/v + " + CROSS_4
+
+
+@pytest.mark.parametrize("f, code", [(CROSS_4, 0), (CROSS_5, 4)])
+def test_cross_polytope_model_against_a_sheared_copy(f, code, capsys):
+    # 2 * 4 starts * P(6, 4) tuples * 4^3 = 184,320 units fit the
+    # equivalence cap; 10 starts * P(8, 5) * 5^3 = 8.4 M do not (the parent
+    # cap of 100,000 tuples in every dimension let those 67,200 pass)
+    sheared = f.replace("w + 1/w", "w*x + 1/(w*x)")
+    got, doc = run_cli(["equiv", f, sheared], capsys)
+    assert got == code
+    if code == 4:
+        assert doc["payload"]["error"] == "ComplexityLimit"
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_iv_mutate_on_cross_polytopes_past_six_dimensions(n, tmp_path, capsys):
     # slicing by r = e_1 + e_2: both slices are unit segments

@@ -174,10 +174,22 @@ def test_hull_prune_matches_oracle_in_7_to_9_variables(f, N):
 
 
 def test_period_step_obeys_the_product_cap(monkeypatch):
-    # the second step multiplies the 4 kept terms of f by f's 4 terms
+    # the second step multiplies the 5 kept terms of f by f's 5 terms; its 9
+    # products meet the 2 cuts of Q = [-2, 2] in 18 tests
+    f = laurent.parse("1 + x + x^2 + 1/x + 1/x^2")
+    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 25)
+    assert period.period_sequence(f, 2).values == (1, 1, 5)
+    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 24)
+    with pytest.raises(ComplexityLimit, match="term pairs"):
+        period.period_sequence(f, 2)
+
+
+def test_period_prune_obeys_the_product_cap(monkeypatch):
+    # the second step's 16 pairs give 9 terms, each tested against the 4
+    # facets of Q: 36 term-cut tests
     f = laurent.parse("x + 1/x + y + 1/y")
-    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 16)
+    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 36)
     assert period.period_sequence(f, 2).values == (1, 0, 4)
-    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 15)
-    with pytest.raises(ComplexityLimit):
+    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 35)
+    with pytest.raises(ComplexityLimit, match="term-cut tests"):
         period.period_sequence(f, 2)

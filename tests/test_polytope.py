@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -255,16 +256,30 @@ def _assert_hull_matches_oracle(case):
 
 
 def test_hull_work_is_charged_before_it_is_done(monkeypatch):
-    # the unit 3-simplex is one charge of 4 * 3^3 = 108; (1, 1, 1) then
-    # tests its 4 facets at 3 units each, sees one and solves for the 3
-    # new facets on that facet's edges at 27 units each: 108 + 12 + 81
+    # m points in R^n first pay n * (m * min(n, m) + n) for the ambient
+    # eliminations: 45 for the unit 3-simplex, which then is one charge of
+    # 4 * 3^3 = 108; with (1, 1, 1) the ambient charge is 54, and the new
+    # point tests the simplex's 4 facets at 3 units each, sees one and
+    # solves for the 3 new facets on that facet's edges at 27 units each
     simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for points, work in ((simplex, 108), (simplex + [(1, 1, 1)], 201)):
+    for points, work in ((simplex, 45 + 108), (simplex + [(1, 1, 1)], 54 + 108 + 12 + 81)):
         monkeypatch.setattr(pt, "HULL_WORK_CAP", work)
         assert len(pt.convex_hull(points).vertices) == len(points)
         monkeypatch.setattr(pt, "HULL_WORK_CAP", work - 1)
         with pytest.raises(ComplexityLimit):
             pt.convex_hull(points)
+
+
+def test_ambient_work_is_charged_in_every_affine_dimension():
+    # a segment never reaches beneath-beyond; in 4,000 variables its
+    # ambient charge 4000 * (2 * 2 + 4000) passes HULL_WORK_CAP at once
+    n = 4000
+    assert n * (2 * 2 + n) > pt.HULL_WORK_CAP
+    start = time.perf_counter()
+    with pytest.raises(ComplexityLimit):
+        pt.convex_hull([(0,) * n, (1,) * n])
+    assert time.perf_counter() - start < 1
+    assert pt.convex_hull([(0,) * 1000, (1,) * 1000]).dim_affine == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -670,6 +685,21 @@ def test_equivalence_scan_cap():
     above = pt.convex_hull([(s, s**2, s**3, s**4) for s in range(13)])
     with pytest.raises(ComplexityLimit):
         pt.lattice_equivalent(above, above)
+
+
+def test_equivalence_scan_cost_is_starts_times_tuples_times_n_cubed(monkeypatch):
+    # the 5-D cross-polytope: 10 starts of degree 8, P(8, 5) = 6,720 frame
+    # tuples each, 5^3 units per tuple: 8,400,000 units in all
+    cross = [tuple(s * int(k == i) for k in range(5)) for i in range(5) for s in (1, -1)]
+    shear = [[int(i == j or (i, j) == (1, 0)) for j in range(5)] for i in range(5)]
+    P = pt.convex_hull(cross)
+    Q = pt.convex_hull([intlinalg.mat_vec(shear, v) for v in cross])
+    monkeypatch.setattr(pt, "EQUIVALENCE_WORK_CAP", 8_400_000)
+    A, t = pt.lattice_equivalent(P, Q)
+    assert {intlinalg.mat_vec(A, v) for v in P.vertices} == set(Q.vertices)
+    monkeypatch.setattr(pt, "EQUIVALENCE_WORK_CAP", 8_399_999)
+    with pytest.raises(ComplexityLimit):
+        pt.lattice_equivalent(P, Q)
 
 
 def test_hull_vertices_are_int_exactly_when_integral():
