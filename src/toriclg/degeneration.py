@@ -156,8 +156,14 @@ def slice(C, cos, level):
         raise ValueError("level must be +1 or -1")
     if C.dim_ambient != cos.ambient_dim:
         raise DimensionMismatch("cone and cosection ambient dimensions differ")
+    return _slice(_extreme_generators(C), cos, level)
+
+
+def _slice(rays, cos, level):
+    """slice on the cone's extreme generators, so that both levels can
+    share one hull."""
     hits = []
-    for q in _extreme_generators(C):
+    for q in rays:
         value = sum(ri * qi for ri, qi in zip(cos.r, q))
         if value != 0 and (value > 0) == (level > 0):
             scale = Fraction(level, value)
@@ -229,9 +235,9 @@ def mutate_polytope(delta, cos, dec):
     """
     if delta.dim_ambient != cos.image_dim:
         raise DimensionMismatch("polytope dimension does not match the cosection")
-    C = cone_over(delta)
-    c_plus = slice(C, cos, 1)
-    c_minus = slice(C, cos, -1)
+    rays = _extreme_generators(cone_over(delta))
+    c_plus = _slice(rays, cos, 1)
+    c_minus = _slice(rays, cos, -1)
     S = polytope.minkowski_sum(dec.C1, dec.C2)
     if polytope.canonical_form(S) != polytope.canonical_form(c_plus):
         raise InvalidDecomposition("summands do not recombine to the positive slice")

@@ -268,6 +268,10 @@ def monomial_substitute(p, matrix, shift=None, scales=None):
 MAX_PAREN_DEPTH = 100
 # int() reads, and str() prints, no longer decimal integers by default
 MAX_LITERAL_DIGITS = 4300
+# numbers and variables in the text times the variable count: each of them
+# is at most one dense exponent tuple, so this bounds the tuple slots a parse
+# builds before any is built (a 2,000-variable product needs 4,002,000)
+PARSE_EXPONENT_SLOT_CAP = 10_000_000
 # one token per match: a decimal literal (\d is exactly what int() reads),
 # a word, an operator, or any other non-space character, which is an error
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>\w+)|(?P<op>[-+*/^()])|\S")
@@ -383,6 +387,9 @@ def parse(text, var_names=None):
         for kind, value, pos in tokens:
             if kind == "ident" and value not in var_names:
                 raise ParseError(f"unknown variable {value!r}", pos)
+    slots = sum(kind in ("int", "ident") for kind, _value, _pos in tokens) * len(var_names)
+    if slots > PARSE_EXPONENT_SLOT_CAP:
+        raise ComplexityLimit(f"parsing needs {slots} exponent slots, over the cap of {PARSE_EXPONENT_SLOT_CAP}")
     parser = _Parser(tokens, var_names)
     result = parser.parse_expr()
     end = parser.peek()

@@ -642,6 +642,25 @@ def test_cross_polytope_model_against_a_sheared_copy(f, code, capsys):
         assert doc["payload"]["error"] == "ComplexityLimit"
 
 
+def test_deep_period_over_the_run_budget_exits_4(capsys):
+    # depth 30 needs 1.45 M units of PERIOD_WORK_CAP; the kept support grows
+    # like N^4, so depth 50 passes the cap after a few seconds at most
+    start = time.perf_counter()
+    code, doc = run_cli(["period", CROSS_4, "--n", "50"], capsys)
+    assert time.perf_counter() - start < 10.0
+    assert code == 4
+    assert "term pairs and term-cut tests" in doc["payload"]["message"]
+
+
+def test_parse_over_the_exponent_slot_cap_exits_4(capsys):
+    # 20,000 variables times 20,000 terms, refused before any tuple is built
+    start = time.perf_counter()
+    code, doc = run_cli(["newton", "+".join("x%d" % i for i in range(20000))], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 4
+    assert "exponent slots" in doc["payload"]["message"]
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_iv_mutate_on_cross_polytopes_past_six_dimensions(n, tmp_path, capsys):
     # slicing by r = e_1 + e_2: both slices are unit segments

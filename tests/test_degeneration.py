@@ -230,6 +230,21 @@ def test_mutate_weighted_plane_112():
     assert out == sc.expected
 
 
+def test_mutate_builds_the_cone_hull_once(monkeypatch):
+    # both slices read the same extreme generators
+    calls = []
+    extreme = degeneration._extreme_generators
+
+    def counted(C):
+        calls.append(C)
+        return extreme(C)
+
+    monkeypatch.setattr(degeneration, "_extreme_generators", counted)
+    sc = degeneration.weighted_plane_114()
+    assert degeneration.mutate_polytope(sc.delta, sc.cosection, sc.decomposition) == sc.expected
+    assert len(calls) == 1
+
+
 def test_mutate_noop_decomposition():
     sc = degeneration.weighted_plane_114()
     c1 = polytope.convex_hull([(Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])

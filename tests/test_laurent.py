@@ -219,6 +219,17 @@ def test_paren_depth_cap():
     assert err.value.position == 2 + k
 
 
+def test_exponent_slot_cap(monkeypatch):
+    # "x*y + 2" holds 3 numbers and variables in 2 variables: 6 slots
+    monkeypatch.setattr(laurent, "PARSE_EXPONENT_SLOT_CAP", 6)
+    assert laurent.parse("x*y + 2").terms == {(1, 1): 1, (0, 0): 2}
+    monkeypatch.setattr(laurent, "PARSE_EXPONENT_SLOT_CAP", 5)
+    with pytest.raises(ComplexityLimit, match="exponent slots"):
+        laurent.parse("x*y + 2")
+    with pytest.raises(ComplexityLimit, match="exponent slots"):
+        laurent.parse("x + 1", ("x", "y", "z"))
+
+
 def test_power_coefficient_cap():
     # 3^8000 has 3,818 digits, but the bound 2 bits per factor passes the cap
     with pytest.raises(ComplexityLimit):

@@ -173,23 +173,80 @@ def test_hull_prune_matches_oracle_in_7_to_9_variables(f, N):
     assert_matches_oracle(f, N)
 
 
-def test_period_step_obeys_the_product_cap(monkeypatch):
-    # the second step multiplies the 5 kept terms of f by f's 5 terms; its 9
-    # products meet the 2 cuts of Q = [-2, 2] in 18 tests
+def test_period_step_obeys_the_run_budget(monkeypatch):
+    # N = 2 is one step and no prune: f^0's 1 term times f's 5 terms
     f = laurent.parse("1 + x + x^2 + 1/x + 1/x^2")
-    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 25)
+    monkeypatch.setattr(period, "PERIOD_WORK_CAP", 5)
     assert period.period_sequence(f, 2).values == (1, 1, 5)
-    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 24)
-    with pytest.raises(ComplexityLimit, match="term pairs"):
+    monkeypatch.setattr(period, "PERIOD_WORK_CAP", 4)
+    with pytest.raises(ComplexityLimit, match="term pairs and term-cut tests"):
         period.period_sequence(f, 2)
 
 
-def test_period_prune_obeys_the_product_cap(monkeypatch):
-    # the second step's 16 pairs give 9 terms, each tested against the 4
-    # facets of Q: 36 term-cut tests
+def test_period_prune_obeys_the_run_budget(monkeypatch):
+    # N = 4 builds powers 1 and 2: 4 pairs, then 4 terms tested against the
+    # 4 facets of Q (16), then 4 x 4 pairs; the products alone are only 20
     f = laurent.parse("x + 1/x + y + 1/y")
-    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 36)
-    assert period.period_sequence(f, 2).values == (1, 0, 4)
-    monkeypatch.setattr(laurent, "MUL_TERM_PAIR_CAP", 35)
-    with pytest.raises(ComplexityLimit, match="term-cut tests"):
-        period.period_sequence(f, 2)
+    monkeypatch.setattr(period, "PERIOD_WORK_CAP", 36)
+    assert period.period_sequence(f, 4).values == (1, 0, 4, 0, 36)
+    monkeypatch.setattr(period, "PERIOD_WORK_CAP", 35)
+    with pytest.raises(ComplexityLimit, match="term pairs and term-cut tests"):
+        period.period_sequence(f, 4)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("x + y", ("x", "y", "z")),
+        ("x*z*w + y/w + 1/(x*y) + z + 1/z", ("x", "y", "z", "w")),
+        ("x0*x1*x2*x3*x4*x5 + 1", None),
+        ("x + x^2*y + 1/y", None),
+    ],
+)
+def test_prune_cuts_hold_no_equalities(text, names):
+    # Q holds the origin, so its equalities a·x = 0 hold on every power; the
+    # cuts are Q's proper facets only
+    f = laurent.parse(text, names)
+    Q = polytope.convex_hull(list(f.terms) + [(0,) * f.nvars])
+    cuts = period._prune_cuts(f)
+    assert cuts == list(Q.facet_inequalities)
+    for a, b in cuts:
+        assert any(sum(x * y for x, y in zip(a, v)) < b for v in Q.vertices)
+        assert (tuple(-x for x in a), -b) not in cuts
+
+
+@st.composite
+def sublattice_models(draw):
+    """Models in 1 to 3 variables with exponents in the first r <= n
+    coordinates, then sheared by transvections; Q is lower-dimensional
+    when r < n. With half_space the first coordinate is never negative and
+    both 0 and 1 occur, so the origin lies on a facet of Q (b = 0)."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    half_space = draw(st.booleans())
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=1, max_size=5))
+    if half_space:
+        points = [(abs(p[0]),) + p[1:] for p in points] + [(0,) * r, (1,) + (0,) * (r - 1)]
+    exponents = [list(p) + [0] * (n - r) for p in points]
+    axis = st.integers(0, n - 1)
+    for i, j, k in draw(st.lists(st.tuples(axis, axis, st.integers(-2, 2)), max_size=3)):
+        if i != j:
+            for e in exponents:
+                e[i] += k * e[j]
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    terms = {tuple(e): draw(coefficient) for e in exponents}
+    return laurent.LaurentPoly(tuple("x%d" % k for k in range(n)), terms), r < n, half_space
+
+
+@settings(max_examples=60, deadline=None)
+@given(sublattice_models())
+def test_half_depth_matches_oracle_at_every_depth(model):
+    f, low_rank, half_space = model
+    Q = polytope.convex_hull(list(f.terms) + [(0,) * f.nvars])
+    if low_rank:
+        assert Q.dim_affine < f.nvars
+    if half_space:
+        assert any(b == 0 for _a, b in Q.facet_inequalities)
+    full = period.period_oracle(f, 9).values
+    for N in range(10):
+        assert period.period_sequence(f, N).values == full[: N + 1]
