@@ -183,11 +183,6 @@ def coefficient_at(p, exponent):
     return Fraction(p.terms.get(tuple(int(x) for x in exponent), 0))
 
 
-def support(p):
-    """Exponent vectors with nonzero coefficient, lexicographically sorted."""
-    return sorted(p.terms)
-
-
 def exact_divide(p, q):
     """The r with mul(r, q) == p, if it exists in the Laurent ring.
 

@@ -12,10 +12,11 @@ ambient space.
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from . import intlinalg
 from .errors import (
@@ -516,11 +517,13 @@ def polygon_minkowski_decompositions(P):
     return [list(dec) for dec in sorted(decompositions, key=lambda ds: [Q.vertices for Q in ds])]
 
 
-def _edge_graph(P):
+def _edge_graph(P, tights=None):
     """Sorted neighbour list of every vertex.  Vertices i and j are adjacent
     when the facets through both meet the vertex set in exactly {i, j}; with
-    no facet through both the meet is every vertex, {i, j} only for a segment."""
-    tights = _facet_vertex_sets(P)
+    no facet through both the meet is every vertex, {i, j} only for a segment.
+    tights is _facet_vertex_sets(P), for a caller that already has it."""
+    if tights is None:
+        tights = _facet_vertex_sets(P)
     everything = frozenset(range(len(P.vertices)))
     neighbours = [[] for _ in everything]
     for i, j in combinations(everything, 2):
@@ -534,22 +537,71 @@ def _edge_graph(P):
     return neighbours
 
 
+def _vertex_colours(*polytopes):
+    """Vertex colours of lattice polytopes, each given as (P, adj, tights)
+    with adj = _edge_graph(P) and tights = _facet_vertex_sets(P).
+
+    A vertex starts with its degree, the sorted lattice lengths of its edges
+    and the sorted vertex counts of the facets through it; its colour is
+    then twice refined by the sorted colours of its neighbours (Weisfeiler
+    and Leman 1968).  Every unimodular affine map keeps these colours.  Each
+    colour is an int label from one table shared by the polytopes given, so
+    their colours compare directly and stay small however dense the edge
+    graph.  Returns one colour list per polytope."""
+    labels = {}
+
+    def relabel(signatures):
+        return [labels.setdefault(s, len(labels)) for s in signatures]
+
+    colourings = []
+    for P, adj, tights in polytopes:
+        v = P.vertices
+        facet_sizes = [[] for _ in v]
+        for T in tights:
+            for i in T:
+                facet_sizes[i].append(len(T))
+        lengths = [sorted(math.gcd(*_vec_sub(v[j], v[i])) for j in adj[i]) for i in range(len(v))]
+        colourings.append(
+            relabel((len(adj[i]), tuple(lengths[i]), tuple(sorted(facet_sizes[i]))) for i in range(len(v)))
+        )
+    for _ in range(2):
+        colourings = [
+            relabel((c, tuple(sorted(colours[j] for j in adj[i]))) for i, c in enumerate(colours))
+            for colours, (_P, adj, _tights) in zip(colourings, polytopes)
+        ]
+    return colourings
+
+
+def _distinct_choices(lists, chosen=()):
+    """Every tuple taking entry r from lists[r], no entry twice, in product order."""
+    if len(chosen) == len(lists):
+        yield chosen
+        return
+    for k in lists[len(chosen)]:
+        if k not in chosen:
+            yield from _distinct_choices(lists, chosen + (k,))
+
+
 def lattice_equivalence_candidates(P, Q):
     """Yield every unimodular (A, t) with A*P + t = Q as vertex sets.
 
     Both polytopes are read in their lattice frames, where they are
-    full-dimensional in Z^d.  A lattice automorphism maps edges to edges,
-    so P and Q must have the same vertex degrees, and P's first vertex p0
-    with d of its neighbours spanning a frame V goes to a vertex w0 of Q of
-    the same degree and an ordered d-tuple W of w0's neighbours.  Each
-    other vertex c of P then goes to w0 + W adj(V) c / det(V), which must
-    be integral and a vertex of Q; only maps passing that for every vertex
-    build A_d = W adj(V) / det(V) and must be integral with |det| = 1.  A_d
-    lifts to A = U_Q^-1 diag(A_d, I) U_P.  For each w0 the maps come in the
-    order of the Q indices of the images of P's first affine basis.
-    ComplexityLimit, before any work, past EQUIVALENCE_WORK_CAP with each
-    tuple W weighing n^3 (frames, lifts and the caller's check of each map
-    are n x n work); a polytope with a non-integer vertex yields nothing."""
+    full-dimensional in Z^d.  A lattice automorphism maps edges to edges and
+    keeps the vertex colours of _vertex_colours, so P and Q must have the
+    same colour multiset, and P's first vertex p0 with d of its neighbours
+    spanning a frame V goes to a start w0 of Q of p0's colour and a tuple W
+    of distinct neighbours of w0, the image of each frame neighbour taken
+    from w0's neighbours of that neighbour's colour.  Each other vertex c of
+    P then goes to w0 + W adj(V) c / det(V), which must be integral and a
+    vertex of Q; only maps passing that for every vertex build
+    A_d = W adj(V) / det(V) and must be integral with |det| = 1.  A_d lifts
+    to A = U_Q^-1 diag(A_d, I) U_P.  For each w0 the maps come in the order
+    of the Q indices of the images of P's first affine basis.
+    ComplexityLimit, before any tuple is tried, past EQUIVALENCE_WORK_CAP:
+    a start with k_c neighbours of colour c gives the product over colours
+    of perm(k_c, m_c) tuples, m_c frame neighbours having colour c, and each
+    tuple weighs n^3 (frames, lifts and the caller's check of each map are
+    n x n work).  A polytope with a non-integer vertex yields nothing."""
     if P.dim_ambient != Q.dim_ambient or P.dim_affine != Q.dim_affine:
         return
     if len(P.vertices) != len(Q.vertices) or not (is_lattice(P) and is_lattice(Q)):
@@ -559,17 +611,26 @@ def lattice_equivalence_candidates(P, Q):
     if d == 0:
         yield intlinalg.identity(n), _vec_sub(Q.vertices[0], P.vertices[0])
         return
-    P_adj = _edge_graph(P)
-    Q_adj = _edge_graph(Q)
-    if sorted(map(len, P_adj)) != sorted(map(len, Q_adj)):
+    P_tights, Q_tights = _facet_vertex_sets(P), _facet_vertex_sets(Q)
+    P_adj, Q_adj = _edge_graph(P, P_tights), _edge_graph(Q, Q_tights)
+    P_colour, Q_colour = _vertex_colours((P, P_adj, P_tights), (Q, Q_adj, Q_tights))
+    if sorted(P_colour) != sorted(Q_colour):
         return
-    starts = [k for k, adj in enumerate(Q_adj) if len(adj) == len(P_adj[0])]
-    if len(starts) * math.perm(len(P_adj[0]), d) * n**3 > EQUIVALENCE_WORK_CAP:
+    # p0's neighbours are independent exactly when their lattice-frame
+    # coordinates are, so the frame is picked, and the cap charged, before
+    # any frame coordinates are built
+    neighbours = [_vec_sub(P.vertices[j], P.vertices[0]) for j in P_adj[0]]
+    frame = [P_adj[0][i] for i in intlinalg.pivot_columns(intlinalg.transpose(neighbours))]
+    wanted = Counter(P_colour[j] for j in frame)
+    starts = [k for k, colour in enumerate(Q_colour) if colour == P_colour[0]]
+    tuples = 0
+    for k0 in starts:
+        have = Counter(Q_colour[k] for k in Q_adj[k0])
+        tuples += math.prod(math.perm(have[c], m) for c, m in wanted.items())
+    if tuples * n**3 > EQUIVALENCE_WORK_CAP:
         raise ComplexityLimit("equivalence scan needs over %d units of work" % EQUIVALENCE_WORK_CAP)
     U_P, _, coords_P = _frame_coords(P.vertices)
     _, U_Q_inv, coords_Q = _frame_coords(Q.vertices)
-    neighbours = [coords_P[j] for j in P_adj[0]]
-    frame = [P_adj[0][i] for i in intlinalg.pivot_columns(intlinalg.transpose(neighbours))]
     V = [[coords_P[j][i] for j in frame] for i in range(d)]
     det_V = int(intlinalg.det(V))
     adj_V = [[int(x * det_V) for x in row] for row in intlinalg.matrix_inverse(V)]
@@ -583,7 +644,8 @@ def lattice_equivalence_candidates(P, Q):
     for k0 in starts:
         c0 = coords_Q[k0]
         found = {}
-        for images in permutations(Q_adj[k0], d):
+        candidates = [[k for k in Q_adj[k0] if Q_colour[k] == P_colour[j]] for j in frame]
+        for images in _distinct_choices(candidates):
             ws = [coords_Q[k] for k in images]
             if not all(
                 tuple(sum(l * w[i] for l, w in zip(lam, ws)) + s * c0[i] for i in range(d)) in scaled_Q

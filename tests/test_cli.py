@@ -101,16 +101,30 @@ def test_equiv_identity_has_witness(capsys):
 
 
 def test_equiv_scan_cap_exits_4(capsys):
-    # two cyclic polytopes C(4, 20): every vertex has 19 neighbours, so the
-    # scan would try 20 * 19 * 18 * 17 * 16 = 1,860,480 ordered tuples
-    first = " + ".join("x^%d*y^%d*z^%d*t^%d" % (s, s**2, s**3, s**4) for s in range(1, 21))
-    second = " + ".join("x^%d*y^%d*z^%d*t^%d" % (s, s**2, s**3, s**4) for s in range(2, 22))
+    # the 6-D cross-polytope model against a sheared copy: one vertex colour,
+    # so 12 starts * P(10, 6) frame tuples * 6^3 = 391,910,400 units
+    first = " + ".join("x%d + 1/x%d" % (i, i) for i in range(6))
+    second = first.replace("x0 + 1/x0", "x0*x1 + 1/(x0*x1)")
     start = time.perf_counter()
     code, doc = run_cli(["equiv", first, second], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 4
     assert doc["status"] == "fail"
     assert doc["payload"]["error"] == "ComplexityLimit"
+
+
+def test_equiv_on_cyclic_polytopes_scans_only_like_coloured_frames(capsys):
+    # two cyclic polytopes C(4, 20), the second the first under s -> s + 1:
+    # every vertex has 19 neighbours (20 * P(19, 4) * 4^3 = 119 M units by
+    # degree alone), but the vertex colours leave 32 frame tuples
+    first = " + ".join("x^%d*y^%d*z^%d*t^%d" % (s, s**2, s**3, s**4) for s in range(1, 21))
+    second = " + ".join("x^%d*y^%d*z^%d*t^%d" % (s, s**2, s**3, s**4) for s in range(2, 22))
+    start = time.perf_counter()
+    code, doc = run_cli(["equiv", first, second], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    witness = mutation.steps_from_json([doc["payload"]["witness"]], tuple("xyzt"))[0]
+    assert mutation.apply_toric(parse(first), witness) == parse(second, tuple("xyzt"))
 
 
 def test_equiv_negative_is_fail(capsys):

@@ -629,9 +629,29 @@ FIRST_NEIGHBOURS_DEPENDENT = pt.convex_hull(
 )
 
 
+# vertex sets on the lattice sphere x^2 + y^2 + z^2 = 14, as in the equiv
+# benchmark: every vertex has degree 4, yet the colours split them
+SPHERE_6_TWO_COLOURS = [(-3, 1, 2), (-3, 2, -1), (-2, -3, 1), (-1, 2, 3), (-1, 3, 2), (2, 3, 1)]
+SPHERE_6_FOUR_COLOURS = [(-2, 3, 1), (-1, 3, -2), (1, 2, 3), (2, -3, -1), (2, -3, 1), (3, 1, 2)]
+SPHERE_8_TWO_COLOURS = [
+    (-3, -1, -2), (-3, -1, 2), (1, -3, -2), (1, -3, 2), (1, -2, -3), (2, -3, -1), (2, 3, -1), (3, 2, 1),
+]  # fmt: skip
+SPHERE_8_FIVE_COLOURS = [
+    (-3, 1, -2), (-3, 1, 2), (-2, 3, -1), (-1, -3, -2), (-1, -3, 2), (-1, 2, -3), (2, -1, 3), (3, -2, -1),
+]  # fmt: skip
+SPHERE_9_NINE_COLOURS = [
+    (-3, 1, -2), (-3, 1, 2), (-2, 1, -3), (-2, 3, -1), (1, -3, -2), (1, -3, 2), (2, 3, -1), (3, -2, -1), (3, 1, 2),
+]  # fmt: skip
+SHEAR_3 = [[1, 1, 0], [0, 1, 0], [0, -1, 1]]
+SWAP_3 = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polytope_maps())
 @example((FIRST_NEIGHBOURS_DEPENDENT, intlinalg.identity(4), (1, 0, 0, 0), pt.convex_hull(_simplex(4))))
+@example((pt.convex_hull(SPHERE_6_TWO_COLOURS), SHEAR_3, (1, -1, 2), pt.convex_hull(SPHERE_6_FOUR_COLOURS)))
+@example((pt.convex_hull(SPHERE_8_TWO_COLOURS), SHEAR_3, (0, 2, -1), pt.convex_hull(SPHERE_8_FIVE_COLOURS)))
+@example((pt.convex_hull(SPHERE_9_NINE_COLOURS), SWAP_3, (2, 0, 0), pt.convex_hull(SPHERE_9_NINE_COLOURS)))
 def test_equivalence_scan_matches_oracle(case):
     P, A, t, R = case
     Q = pt.convex_hull([_affine_image(A, t, v) for v in P.vertices])
@@ -678,13 +698,70 @@ def test_equivalence_scan_rejects_different_vertex_degrees(monkeypatch):
     assert pt.lattice_equivalent(bipyramid, pyramid) is None
 
 
-def test_equivalence_scan_cap():
-    # C(4, 11) is neighbourly: 11 * 10 * 9 * 8 * 7 = 55,440 tuples; C(4, 13) needs 154,440
-    below = pt.convex_hull([(s, s**2, s**3, s**4) for s in range(11)])
-    assert len(list(pt.lattice_equivalence_candidates(below, below))) == 2
-    above = pt.convex_hull([(s, s**2, s**3, s**4) for s in range(13)])
+def _colours(*polytopes):
+    graphs = []
+    for P in polytopes:
+        tights = pt._facet_vertex_sets(P)
+        graphs.append((P, pt._edge_graph(P, tights), tights))
+    return pt._vertex_colours(*graphs)
+
+
+@pytest.mark.parametrize(
+    "points, colours",
+    [(SPHERE_6_TWO_COLOURS, 2), (SPHERE_6_FOUR_COLOURS, 4), (SPHERE_8_TWO_COLOURS, 2), (SPHERE_9_NINE_COLOURS, 9)],
+)
+def test_sphere_vertices_of_one_degree_split_into_colours(points, colours):
+    P = pt.convex_hull(points)
+    assert len(P.vertices) == len(points)
+    assert {len(adj) for adj in pt._edge_graph(P)} == {4}
+    (colouring,) = _colours(P)
+    assert len(set(colouring)) == colours
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polytope_maps())
+def test_unimodular_maps_keep_vertex_colours(case):
+    P, A, t, _R = case
+    Q = pt.convex_hull([_affine_image(A, t, v) for v in P.vertices])
+    WA, wt = pt.lattice_equivalent(P, Q)
+    P_colour, Q_colour = _colours(P, Q)
+    for v, colour in zip(P.vertices, P_colour):
+        assert Q_colour[Q.vertices.index(_affine_image(WA, wt, v))] == colour
+
+
+def test_equivalence_scan_rejects_different_vertex_colours(monkeypatch):
+    # two triangular prisms, every vertex of degree 3; the second's vertical
+    # edges have lattice length 2, so no vertex colour is shared
+    prism = pt.convex_hull([(x, y, z) for x, y in ((0, 0), (1, 0), (0, 1)) for z in (0, 1)])
+    tall = pt.convex_hull([(x, y, z) for x, y in ((0, 0), (1, 0), (0, 1)) for z in (0, 2)])
+    assert sorted(map(len, pt._edge_graph(prism))) == sorted(map(len, pt._edge_graph(tall))) == [3] * 6
+    prism_colour, tall_colour = _colours(prism, tall)
+    assert not set(prism_colour) & set(tall_colour)
+
+    def no_frames(points):
+        raise AssertionError("frame built for polytopes with different vertex colours")
+
+    monkeypatch.setattr(pt, "_frame_coords", no_frames)
+    assert pt.lattice_equivalent(prism, tall) is None
+    assert pt.lattice_equivalent(tall, prism) is None
+
+
+def test_equivalence_scan_cap(monkeypatch):
+    # the 4-simplex has one colour: 5 starts * 4! frame tuples * 4^3 = 7,680 units
+    simplex = pt.convex_hull(_simplex(4))
+    monkeypatch.setattr(pt, "EQUIVALENCE_WORK_CAP", 7_680)
+    assert len(list(pt.lattice_equivalence_candidates(simplex, simplex))) == 120
+    monkeypatch.setattr(pt, "EQUIVALENCE_WORK_CAP", 7_679)
     with pytest.raises(ComplexityLimit):
-        pt.lattice_equivalent(above, above)
+        pt.lattice_equivalent(simplex, simplex)
+    # C(4, 13) is neighbourly, so every vertex has degree 12, but its colours
+    # leave 32 frame tuples, 2,048 units (9,884,160 by degree alone)
+    cyclic = pt.convex_hull([(s, s**2, s**3, s**4) for s in range(13)])
+    monkeypatch.setattr(pt, "EQUIVALENCE_WORK_CAP", 2_048)
+    assert len(list(pt.lattice_equivalence_candidates(cyclic, cyclic))) == 2
+    monkeypatch.setattr(pt, "EQUIVALENCE_WORK_CAP", 2_047)
+    with pytest.raises(ComplexityLimit):
+        pt.lattice_equivalent(cyclic, cyclic)
 
 
 def test_equivalence_scan_cost_is_starts_times_tuples_times_n_cubed(monkeypatch):
