@@ -112,9 +112,5 @@ class PivotDegreeOutOfRange(DomainError):
     pass
 
 
-class FaceMismatch(DomainError):
-    pass
-
-
 class ShapeMismatch(DomainError):
     pass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlinalg, laurent, polytope
-from .errors import ComplexityLimit, FaceMismatch, ShapeMismatch
+from .errors import ComplexityLimit, ShapeMismatch
 
 # faces of dimension 3 are never decomposed; on a four-dimensional Newton
 # polytope only the 2-skeleton is checked and the result says so
@@ -71,18 +71,9 @@ def _canonical_polytope(Q):
     return polytope.convex_hull(list(polytope.canonical_form(Q)))
 
 
-def face_restriction(f, face):
-    """Sub-sum of the terms of f whose exponents lie on the given face of
-    the Newton polytope.  The face must actually be a face of Delta_f."""
-    P = polytope.newton_polytope(f)
-    wanted = _face_key(face.vertices)
-    if not any(_face_key(F.vertices) == wanted for F in polytope.faces(P, face.dim_affine)):
-        raise FaceMismatch("not a face of the Newton polytope")
-    return _restrict(f, P, face)
-
-
 def _restrict(f, P, face):
-    """face_restriction for a face known to be a face of P = Delta_f."""
+    """Sub-sum of the terms of f whose exponents lie on the given face of
+    P = Delta_f: those tight at every facet through the face."""
     defining = [
         (normal, offset)
         for normal, offset in P.facet_inequalities

@@ -62,20 +62,6 @@ def identity_toric(n):
     return ToricChange(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n, (1,) * n)
 
 
-def elementary_cluster(pivot, indices, var_names, sign=-1):
-    """Cluster change whose factor is the sum of the listed variables plus 1."""
-    if pivot in indices:
-        raise InvalidChange("pivot cannot appear in the factor variables")
-    if not 0 <= pivot < len(var_names):
-        raise InvalidChange("pivot index out of range")
-    factor = laurent.one(var_names)
-    for i in indices:
-        if not 0 <= i < len(var_names):
-            raise InvalidChange("factor variable index out of range")
-        factor = laurent.add(factor, laurent.variable(var_names, i))
-    return ClusterChange(pivot, sign, factor)
-
-
 def apply_cluster(f, change):
     """Transformed polynomial, or NotLaurent when a slice division is inexact."""
     if not 0 <= change.pivot < f.nvars:

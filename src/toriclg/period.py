@@ -49,12 +49,12 @@ def _check_input(f, N):
 
 def _prune_cuts(f):
     """Facet inequalities (a, b), meaning a·x <= b, of the prune polytope
-    Q = conv(supp(f) ∪ {0}). Q holds the origin, so each affine equality
-    of Q reads a·x = 0, and every exponent of every power of f meets it;
-    within that linear span, where Q is bounded, the facets alone cut out
-    Q. The hull is built in any number of variables and raises
-    ComplexityLimit past polytope.HULL_WORK_CAP; a constant in no variables
-    has nothing to prune and gets no cuts.
+    Q = conv(supp(f) ∪ {0}). Q holds the origin, so its affine hull is a
+    linear span, and every exponent of every power of f lies in it; within
+    that span, where Q is bounded, the facets alone cut out Q, so no
+    equality is tested. The hull is built in any number of variables and
+    raises ComplexityLimit past polytope.HULL_WORK_CAP; a constant in no
+    variables has nothing to prune and gets no cuts.
     """
     n = f.nvars
     if n == 0:

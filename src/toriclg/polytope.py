@@ -4,10 +4,10 @@ All arithmetic is exact (int and Fraction); there is no floating point
 anywhere.  Every hull, lattice or rational, is built on integer
 coordinates: the points are projected one-to-one onto coordinate axes of
 their affine hull and rational ones are scaled to integers, so facet
-normals come from fraction-free elimination.  Lower-dimensional polytopes
-get a faithful description: facet inequalities that cut the polytope out
-of its affine hull, plus equalities that cut the affine hull out of the
-ambient space.
+normals come from fraction-free elimination.  A lower-dimensional polytope
+is described by its vertices, whose affine span is its affine hull, and
+facet inequalities that cut it out of that hull; no ambient equalities are
+kept.
 """
 
 import functools
@@ -40,13 +40,13 @@ class Polytope:
     """A lattice or rational polytope, as built by convex_hull.
 
     The vertices are int tuples exactly when every vertex is integral (a
-    lattice polytope, see is_lattice), else Fraction tuples; the facet and
-    equality offsets are int or Fraction along with them."""
+    lattice polytope, see is_lattice), else Fraction tuples; the facet
+    offsets are int or Fraction along with them.  The facet inequalities cut
+    the polytope out of its affine hull, the affine span of the vertices."""
 
     dim_ambient: int
     vertices: tuple
     facet_inequalities: tuple
-    affine_equalities: tuple
     dim_affine: int
 
     def __repr__(self):
@@ -208,7 +208,7 @@ def _build(points):
     Fraction; vertices come back as int exactly when all are integral, and
     the offsets, taken at vertices, follow their type."""
     n, m = len(points[0]), len(points)
-    # charged up front: eliminations on the n x m differences, n - d equalities
+    # charged up front: eliminations on the n x m differences, basis rows and normals in n entries
     work = _charge(0, n * (m * min(n, m) + n))
     entry = int if all(isinstance(x, int) for p in points for x in p) else Fraction
     cleaned = sorted({tuple(entry(x) for x in p) for p in points})
@@ -239,13 +239,7 @@ def _build(points):
         verts = [tuple(int(x) for x in v) for v in verts]
     normals = [tuple(dict(zip(axes, n_aff)).get(k, 0) for k in range(n)) for n_aff, _b in facets_aff]
     facets = tuple(sorted((u, max(_dot(u, v) for v in verts)) for u in normals))
-    equalities = []
-    # empty basis gives the full standard kernel, cutting out the point
-    for normal in intlinalg.kernel_rays(basis, n):
-        if next(x for x in normal if x != 0) < 0:
-            normal = tuple(-x for x in normal)
-        equalities.append((normal, _dot(normal, verts[0])))
-    return Polytope(n, tuple(verts), facets, tuple(sorted(equalities)), d)
+    return Polytope(n, tuple(verts), facets, d)
 
 
 def convex_hull(points):
@@ -277,11 +271,12 @@ def minkowski_sum(P, Q):
 
 
 def contains(P, x):
+    """Exact membership of a rational point x: adding x to the vertices
+    keeps their affine rank, and x meets every facet inequality."""
     if len(x) != P.dim_ambient:
         raise DimensionMismatch("point has wrong length")
-    for normal, value in P.affine_equalities:
-        if _dot(normal, x) != value:
-            return False
+    if _affine_rank(P.vertices + (tuple(x),)) != P.dim_affine:
+        return False
     return all(_dot(normal, x) <= offset for normal, offset in P.facet_inequalities)
 
 
@@ -305,23 +300,28 @@ def canonical_form(P):
 
 
 def lattice_points(P):
-    """All integer points of P by bounding-box scan."""
-    n = P.dim_ambient
-    los = []
-    his = []
-    for k in range(n):
-        values = [Fraction(v[k]) for v in P.vertices]
-        los.append(math.ceil(min(values)))
-        his.append(math.floor(max(values)))
-    count = 1
-    for lo, hi in zip(los, his):
-        count *= max(0, hi - lo + 1)
-        if count > LATTICE_POINT_CAP:
-            raise ComplexityLimit("bounding box has more than %d candidates" % LATTICE_POINT_CAP)
+    """All integer points of P, sorted, by a box scan over the axes a_i onto
+    which P's affine hull projects one-to-one, the pivot columns of the vertex
+    differences to v0 = P.vertices[0] (as in _build).  With M their reduced
+    fraction-free rows and den the pivot, box point y lifts to the x with
+    den·x = den·v0 + sum (y_i - v0[a_i])·M[i], kept if integral and inside P.
+    Two points of the affine hull first differ at an axis, so the scan's
+    order is already lexicographic."""
+    v0 = P.vertices[0]
+    M, axes, den, _sign, _scale = intlinalg._bareiss([_vec_sub(v, v0) for v in P.vertices[1:]])
+    columns = list(zip(*P.vertices))
+    ranges = [range(math.ceil(min(columns[a])), math.floor(max(columns[a])) + 1) for a in axes]
+    if math.prod(map(len, ranges)) > LATTICE_POINT_CAP:
+        raise ComplexityLimit("bounding box has more than %d candidates" % LATTICE_POINT_CAP)
+    lift = [tuple(row[k] for row in M[: len(axes)]) for k in range(P.dim_ambient)]
+    base = [den * x - _dot(col, (v0[a] for a in axes)) for x, col in zip(v0, lift)]
     points = []
-    for cand in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        if contains(P, cand):
-            points.append(cand)
+    for y in product(*ranges):
+        x = [b + _dot(col, y) for b, col in zip(base, lift)]
+        if all(c % den == 0 for c in x):
+            x = tuple(c // den for c in x)
+            if all(_dot(normal, x) <= offset for normal, offset in P.facet_inequalities):
+                points.append(x)
     return points
 
 

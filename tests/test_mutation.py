@@ -13,23 +13,31 @@ V3 = ("x", "y", "z")
 V4 = ("x", "y", "z", "t")
 
 
+def elementary_cluster(pivot, indices, var_names, sign=-1):
+    """Cluster change whose factor is 1 plus the listed variables."""
+    factor = laurent.one(var_names)
+    for i in indices:
+        factor = laurent.add(factor, laurent.variable(var_names, i))
+    return mutation.ClusterChange(pivot, sign, factor)
+
+
 def test_quadric_cluster_example():
     f0 = laurent.parse("(x+1)^2/(x*y*z)+y+z")
-    change = mutation.elementary_cluster(1, [0], V3)
+    change = elementary_cluster(1, [0], V3)
     f1 = mutation.apply_cluster(f0, change)
     assert f1 == laurent.parse("(x+1)/(x*y*z)+y*(x+1)+z")
 
 
 def test_cubic_cluster_example():
     f0 = laurent.parse("(x+y+1)^3/(x*y*z)+z")
-    change = mutation.elementary_cluster(2, [0, 1], V3)
+    change = elementary_cluster(2, [0, 1], V3)
     f1 = mutation.apply_cluster(f0, change)
     assert f1 == laurent.parse("(x+y+1)^2/(x*y*z)+z*(x+y+1)")
 
 
 def test_identity_factor_changes_nothing():
     f0 = laurent.parse("(x+1)^2/(x*y*z)+y+z")
-    assert mutation.apply_cluster(f0, mutation.elementary_cluster(1, [], V3)) == f0
+    assert mutation.apply_cluster(f0, elementary_cluster(1, [], V3)) == f0
 
 
 def test_cluster_then_opposite_sign_inverts():
@@ -56,10 +64,10 @@ def test_cluster_then_opposite_sign_inverts():
 
 def test_cluster_preserves_periods():
     f0 = laurent.parse("(x+1)^2/(x*y*z)+y+z")
-    f1 = mutation.apply_cluster(f0, mutation.elementary_cluster(1, [0], V3))
+    f1 = mutation.apply_cluster(f0, elementary_cluster(1, [0], V3))
     assert period.periods_equal(f0, f1, 8)
     g0 = laurent.parse("(x+y+1)^3/(x*y*z)+z")
-    g1 = mutation.apply_cluster(g0, mutation.elementary_cluster(2, [0, 1], V3))
+    g1 = mutation.apply_cluster(g0, elementary_cluster(2, [0, 1], V3))
     assert period.periods_equal(g0, g1, 8)
 
 
@@ -71,7 +79,7 @@ def test_cluster_validation():
     with pytest.raises(InvalidChange):
         mutation.ClusterChange(0, 1, laurent.parse("x+1", V3))
     with pytest.raises(InvalidChange):
-        mutation.elementary_cluster(1, [1], V3)
+        elementary_cluster(1, [1], V3)
     f = laurent.parse("x+y")
     with pytest.raises(InvalidChange):
         mutation.apply_cluster(f, mutation.ClusterChange(5, 1, laurent.parse("x+1", V3)))
@@ -224,7 +232,7 @@ def test_equivalent_up_to_toric_reflexive():
 
 def test_equivalent_up_to_toric_symmetric_witness():
     f0 = laurent.parse("(x+1)^2/(x*y*z)+y+z")
-    change = mutation.elementary_cluster(1, [0], V3)
+    change = elementary_cluster(1, [0], V3)
     f2 = mutation.apply_cluster(mutation.apply_cluster(f0, change), change)
     w = mutation.equivalent_up_to_toric(f2, f0)
     assert w is not None
@@ -236,7 +244,7 @@ def test_equivalent_up_to_toric_symmetric_witness():
 
 def test_quadric_double_mutation_returns_up_to_toric():
     f0 = laurent.parse("(x+1)^2/(x*y*z)+y+z")
-    change = mutation.elementary_cluster(1, [0], V3)
+    change = elementary_cluster(1, [0], V3)
     f2 = mutation.apply_cluster(mutation.apply_cluster(f0, change), change)
     w = mutation.equivalent_up_to_toric(f2, f0)
     assert w is not None
@@ -246,7 +254,7 @@ def test_quadric_double_mutation_returns_up_to_toric():
 def test_cubic_triple_mutation_cycle():
     f0 = laurent.parse("(x+y+1)^3/(x*y*z)+z")
     f1 = laurent.parse("(x+y+1)^2/(x*y*z)+z*(x+y+1)")
-    change = mutation.elementary_cluster(2, [0, 1], V3)
+    change = elementary_cluster(2, [0, 1], V3)
     g1 = mutation.apply_cluster(f0, change)
     assert g1 == f1
     g2 = mutation.apply_cluster(g1, change)
@@ -393,8 +401,8 @@ def test_solve_scales_matches_the_smith_oracle(case):
 def test_cubic_fourfold_trace():
     f00 = laurent.parse("(x+y+1)^3/(x*y*z*t)+z+t")
     steps = [
-        mutation.elementary_cluster(2, [0, 1], V4),
-        mutation.elementary_cluster(3, [0, 1], V4),
+        elementary_cluster(2, [0, 1], V4),
+        elementary_cluster(3, [0, 1], V4),
     ]
     stages = mutation.apply_steps(f00, steps)
     f11 = laurent.parse("(x+y+1)/(x*y*z*t)+z*(x+y+1)+t*(x+y+1)")
@@ -423,7 +431,7 @@ def test_empty_trace_and_error_index():
     assert mutation.apply_steps(f, []) == [f]
 
     bad = [
-        mutation.elementary_cluster(1, [0], V3, sign=1),
+        elementary_cluster(1, [0], V3, sign=1),
         mutation.ClusterChange(1, -1, laurent.parse("x+1", V3)),
     ]
     f3 = laurent.parse("1/y + x", V3)
@@ -434,7 +442,7 @@ def test_empty_trace_and_error_index():
 
 def test_steps_json_roundtrip():
     steps = [
-        mutation.elementary_cluster(1, [0], V3),
+        elementary_cluster(1, [0], V3),
         mutation.ToricChange(
             ((1, 0, -1), (0, 1, -1), (0, 0, -1)), (1, 0, 0), (1, Fraction(-1, 2), 3)
         ),

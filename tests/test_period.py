@@ -125,7 +125,7 @@ def test_prune_when_newton_polytope_misses_or_touches_origin(text):
 def test_prune_on_lower_dimensional_supports(text, names):
     f = laurent.parse(text, names)
     hull = polytope.convex_hull(list(f.terms) + [(0,) * f.nvars])
-    assert hull.affine_equalities
+    assert hull.dim_affine < f.nvars
     assert_matches_oracle(f, 9)
 
 

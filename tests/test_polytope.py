@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,8 +33,9 @@ def test_hull_single_point():
     assert P.dim_affine == 0
     assert P.vertices == ((3, -2, 5),)
     assert P.facet_inequalities == ()
-    assert len(P.affine_equalities) == 3
     assert pt.lattice_points(P) == [(3, -2, 5)]
+    assert pt.contains(P, (3, -2, 5))
+    assert not pt.contains(P, (3, -2, 4))
 
 
 def test_hull_errors():
@@ -149,6 +151,87 @@ def test_face_lattice_points_live_on_the_face():
     assert len(bottom) == 1
     assert (0, -1, -1) in pt.lattice_points(pt.convex_hull(bottom[0].vertices))
     assert pt.edge_lattice_length(bottom[0]) == 2
+
+
+def _reference_contains(P, x):
+    """Membership by ambient equalities: the primitive kernel rays of the
+    vertex differences (intlinalg.kernel_rays) must be constant from the
+    first vertex to x, and x must meet every facet."""
+    v0 = P.vertices[0]
+    equalities = intlinalg.kernel_rays([pt._vec_sub(v, v0) for v in P.vertices[1:]], P.dim_ambient)
+    return all(pt._dot(u, x) == pt._dot(u, v0) for u in equalities) and all(
+        pt._dot(u, x) <= b for u, b in P.facet_inequalities
+    )
+
+
+def _reference_lattice_points(P):
+    """Every integer point of the ambient bounding box that lies in P, in
+    the box's lexicographic order."""
+    ranges = [range(math.ceil(min(c)), math.floor(max(c)) + 1) for c in zip(*P.vertices)]
+    return [x for x in product(*ranges) if _reference_contains(P, x)]
+
+
+@st.composite
+def affine_point_sets(draw):
+    """Points in 1-5 variables with a common denominator 1-3, on an affine
+    subspace of dimension k = 0..n: a base point b plus d_i + c·d_j for
+    directions d_1..d_k with entries in [-1, 1] and c in {-1, 0, 1}, so each
+    coordinate spans at most 4 and the ambient box stays small."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    den = draw(st.integers(1, 3))
+    base = tuple(Fraction(draw(st.integers(-2 * den, 2 * den)), den) for _ in range(n))
+    dirs = [tuple(Fraction(draw(st.integers(-den, den)), den) for _ in range(n)) for _ in range(k)]
+    points = [base] + [tuple(b + a for b, a in zip(base, d)) for d in dirs]
+    for _ in range(draw(st.integers(0, 4)) if k else 0):
+        di, dj = draw(st.sampled_from(dirs)), draw(st.sampled_from(dirs))
+        c = draw(st.sampled_from((-1, 0, 1)))
+        points.append(tuple(b + a + c * e for b, a, e in zip(base, di, dj)))
+    return [tuple(int(x) for x in p) if den == 1 else p for p in points]
+
+
+@settings(max_examples=80, deadline=None)
+@given(affine_point_sets())
+@example([(Fraction(3, 2), 1, Fraction(1, 3)), (0, 0, 5), (Fraction(-3, 4), Fraction(-1, 2), 1)])
+@example([(0, 0, 0, 0), (2, 2, 2, 2)])
+def test_lattice_points_match_the_ambient_box_scan(points):
+    P = pt.convex_hull(points)
+    assert pt.lattice_points(P) == _reference_lattice_points(P)
+    # contains agrees off the lattice too: vertex midpoints, and nudged copies
+    for v, w in combinations(P.vertices, 2):
+        mid = tuple(Fraction(a + b, 2) for a, b in zip(v, w))
+        for x in (mid, mid[:-1] + (mid[-1] + Fraction(1, 7),)):
+            assert pt.contains(P, x) == _reference_contains(P, x)
+
+
+def test_lattice_point_cap_counts_the_box_over_the_affine_hull_axes(monkeypatch):
+    # the segment projects one-to-one onto axis 0: 3 candidates, where its
+    # ambient box holds 3 * 5 * 7; the square's box holds 4 * 4
+    segment = pt.convex_hull([(0, 0, 0), (2, 4, 6)])
+    square = pt.convex_hull([(0, 0), (3, 0), (0, 3), (3, 3)])
+    for P, box in ((segment, 3), (square, 16)):
+        monkeypatch.setattr(pt, "LATTICE_POINT_CAP", box)
+        assert len(pt.lattice_points(P)) == box
+        monkeypatch.setattr(pt, "LATTICE_POINT_CAP", box - 1)
+        with pytest.raises(ComplexityLimit):
+            pt.lattice_points(P)
+
+
+def test_lattice_points_of_a_segment_in_30_variables():
+    # the ambient box has 2^30 points, past LATTICE_POINT_CAP; the box over
+    # the one axis of the segment has 2
+    assert 2**30 > pt.LATTICE_POINT_CAP
+    P = pt.convex_hull([(0,) * 30, (1,) * 30])
+    assert pt.lattice_points(P) == [(0,) * 30, (1,) * 30]
+
+
+def test_contains_is_exact_off_the_lattice():
+    # the rational triangle in the plane y = 2x/3 of LOWER_DIMENSIONAL_PINS
+    P = pt.convex_hull([(Fraction(3, 2), 1, Fraction(1, 3)), (0, 0, 5), (Fraction(-3, 4), Fraction(-1, 2), 1)])
+    assert pt.contains(P, (Fraction(3, 4), Fraction(1, 2), Fraction(8, 3)))
+    assert not pt.contains(P, (Fraction(3, 4), Fraction(1, 3), Fraction(8, 3)))
+    with pytest.raises(DimensionMismatch):
+        pt.contains(P, (0, 0))
 
 
 def _det(M):
@@ -314,8 +397,7 @@ def test_hull_of_scaled_points_matches_lattice_hull(case, k):
     assert R.vertices == tuple(tuple(Fraction(x, k) for x in v) for v in P.vertices)
     assert all(type(x) is entry for v in R.vertices for x in v)
     assert R.facet_inequalities == tuple((u, Fraction(b, k)) for u, b in P.facet_inequalities)
-    assert R.affine_equalities == tuple((u, Fraction(b, k)) for u, b in P.affine_equalities)
-    assert all(type(b) is entry for _u, b in R.facet_inequalities + R.affine_equalities)
+    assert all(type(b) is entry for _u, b in R.facet_inequalities)
     tight = {
         frozenset(i for i, q in enumerate(scaled) if sum(a * x for a, x in zip(normal, q)) == offset)
         for normal, offset in R.facet_inequalities
@@ -375,11 +457,13 @@ LOWER_DIMENSIONAL_PINS = [
 
 @pytest.mark.parametrize("hull, points, facets, equalities", LOWER_DIMENSIONAL_PINS)
 def test_lower_dimensional_hulls_are_pinned(hull, points, facets, equalities):
+    # the pinned equalities cut out the affine hull: each holds at every
+    # vertex, and together they leave dim_affine = n - len(equalities)
     P = hull(points)
     assert P.dim_affine == P.dim_ambient - len(equalities)
+    assert all(sum(a * x for a, x in zip(u, v)) == b for u, b in equalities for v in P.vertices)
     assert P.facet_inequalities == facets
-    assert P.affine_equalities == equalities
-    assert all(type(b) is type(facets[0][1]) for _u, b in P.facet_inequalities + P.affine_equalities)
+    assert all(type(b) is type(facets[0][1]) for _u, b in P.facet_inequalities)
 
 
 def test_is_primitive():
@@ -793,7 +877,7 @@ def test_hull_vertices_are_int_exactly_when_integral():
 
 def _typed(P):
     """The hull's data in a form that, unlike ==, tells int from Fraction."""
-    return repr((P.vertices, P.facet_inequalities, P.affine_equalities))
+    return repr((P.vertices, P.facet_inequalities))
 
 
 @st.composite
@@ -821,7 +905,7 @@ def exact_point_sets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(exact_point_sets())
-# a Fraction-typed segment in the plane: its equality offset is read at a vertex
+# a Fraction-typed segment in the plane: its facet offsets are read at vertices
 @example(([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))], [[1, 0], [0, 1]], (0, 0)))
 def test_vertex_and_offset_types_follow_integrality(case):
     points, A, t = case
@@ -830,7 +914,7 @@ def test_vertex_and_offset_types_follow_integrality(case):
     entry = int if integral else Fraction
     assert pt.is_lattice(P) == integral
     assert all(type(x) is entry for v in P.vertices for x in v)
-    assert all(type(b) is entry for _u, b in P.facet_inequalities + P.affine_equalities)
+    assert all(type(b) is entry for _u, b in P.facet_inequalities)
     if not integral:
         return
     ints = [tuple(int(x) for x in v) for v in P.vertices]
