@@ -247,6 +247,21 @@ def exact_int(x):
     return q.numerator
 
 
+def rational(x):
+    """x's exact value (anything Fraction reads) as an int when it is
+    integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def rational_power(x, k):
+    """x^k for a rational x and an int k, exactly: an int when integral."""
+    return rational(x**k if k >= 0 else Fraction(x) ** k)
+
+
 def primitive_vector(v):
     """v divided by the gcd of its entries (zero vector unchanged)."""
     v = tuple(int(x) for x in v)
@@ -294,7 +309,7 @@ def int_nth_root(m, d):
 
 
 def nth_root_fraction(x, d):
-    """Exact rational d-th root of x, or None.
+    """Exact rational d-th root of x, or None; an int when integral.
 
     Even d requires x >= 0 and returns the positive root.
     """
@@ -307,5 +322,5 @@ def nth_root_fraction(x, d):
     rn = int_nth_root(x.numerator, d)
     rd = int_nth_root(x.denominator, d)
     if rn**d == x.numerator and rd**d == x.denominator:
-        return Fraction(rn, rd)
+        return rn if rd == 1 else Fraction(rn, rd)
     return None

@@ -1,9 +1,12 @@
 """Sparse Laurent polynomials with exact rational coefficients.
 
-A polynomial is a map from integer exponent tuples to nonzero Fraction
-coefficients, together with an ordered tuple of variable names.  The
-zero polynomial is the empty map.  Everything is exact; floats never
-appear.  Values are immutable: operations return new polynomials.
+A polynomial is a map from integer exponent tuples to nonzero
+coefficients, together with an ordered tuple of variable names.  A
+coefficient is an int exactly when it is integral, else a Fraction, so
+integer polynomials (every model in the package) multiply in int
+arithmetic.  The zero polynomial is the empty map.  Everything is exact;
+floats never appear.  Values are immutable: operations return new
+polynomials.
 
 Terms are validated where they enter: the public LaurentPoly(...)
 constructor and parse.  Every result the package builds from clean terms
@@ -16,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add as _add, sub as _sub
 
 from . import intlinalg
 from .errors import (
@@ -27,10 +31,16 @@ from .errors import (
     NotUnimodular,
     ParseError,
 )
+from .intlinalg import rational, rational_power
 
 # term pairs one product may multiply; pow goes through mul, so this also
 # stops a power whose repeated squaring outgrows it
 MUL_TERM_PAIR_CAP = 2_000_000
+# term pairs times variables: the exponent slots one product or one exact
+# division may build, charged before a product's loop and before each
+# quotient term's pass over the divisor.  (x0+...+x199)^2 needs 8,000,000;
+# (x0+...+x999)^2 would need 10^9 (about 8 GB)
+PRODUCT_SLOT_CAP = 10_000_000
 # bits a power's coefficients may reach, bounded before any squaring; about
 # 4,200 decimal digits, so every power allowed can still be printed
 POW_COEFFICIENT_BITS_CAP = 14_000
@@ -48,7 +58,7 @@ class LaurentPoly:
         clean = {}
         n = len(names)
         for e, c in self.terms.items():
-            c = Fraction(c)
+            c = rational(c)
             if c == 0:
                 continue
             e = tuple(int(x) for x in e)
@@ -74,7 +84,8 @@ class LaurentPoly:
 
 def _trusted(var_names, terms):
     """A LaurentPoly from clean terms, checking nothing: var_names a tuple,
-    exponents int tuples of its length, coefficients nonzero Fractions."""
+    exponents int tuples of its length, coefficients nonzero, each an int
+    exactly when it is integral and else a Fraction."""
     p = object.__new__(LaurentPoly)
     object.__setattr__(p, "var_names", var_names)
     object.__setattr__(p, "terms", terms)
@@ -86,28 +97,42 @@ def _check_vars(p, q):
         raise DimensionMismatch(f"variable tuples differ: {p.var_names} vs {q.var_names}")
 
 
+def _charge_slots(slots):
+    """ComplexityLimit when slots passes PRODUCT_SLOT_CAP."""
+    if slots > PRODUCT_SLOT_CAP:
+        raise ComplexityLimit(f"a product needs {slots} exponent slots, over the cap of {PRODUCT_SLOT_CAP}")
+
+
+def _quotient(a, b):
+    """a / b for rationals a and b != 0, exactly: an int when integral."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return rational(Fraction(a, b))
+
+
 def zero(var_names):
     return LaurentPoly(tuple(var_names), {})
 
 
 def constant(var_names, c):
     names = tuple(var_names)
-    return LaurentPoly(names, {(0,) * len(names): Fraction(c)})
+    return LaurentPoly(names, {(0,) * len(names): c})
 
 
 def one(var_names):
-    return constant(var_names, 1)
+    names = tuple(var_names)
+    return _trusted(names, {(0,) * len(names): 1})
 
 
 def monomial(var_names, exponent, coeff=1):
-    return LaurentPoly(tuple(var_names), {tuple(exponent): Fraction(coeff)})
+    return LaurentPoly(tuple(var_names), {tuple(exponent): coeff})
 
 
 def variable(var_names, index):
     names = tuple(var_names)
     e = [0] * len(names)
     e[index] = 1
-    return _trusted(names, {tuple(e): Fraction(1)})
+    return _trusted(names, {tuple(e): 1})
 
 
 def add(p, q):
@@ -118,7 +143,7 @@ def add(p, q):
         if s == 0:
             acc.pop(e, None)
         else:
-            acc[e] = s
+            acc[e] = rational(s)
     return _trusted(p.var_names, acc)
 
 
@@ -127,27 +152,41 @@ def neg(p):
 
 
 def scale(p, c):
-    c = Fraction(c)
+    c = rational(c)
     if c == 0:
         return zero(p.var_names)
-    return _trusted(p.var_names, {e: c * coeff for e, coeff in p.terms.items()})
+    return _trusted(p.var_names, {e: rational(c * coeff) for e, coeff in p.terms.items()})
+
+
+def _cleared(p):
+    """(L, pairs): L the lcm of p's coefficient denominators and pairs its
+    (exponent, L * coefficient) items, every coefficient an int."""
+    L = math.lcm(*(c.denominator for c in p.terms.values()))
+    if L == 1:
+        return 1, p.terms.items()
+    return L, [(e, c.numerator * (L // c.denominator)) for e, c in p.terms.items()]
 
 
 def mul(p, q):
+    """p * q, multiplied in ints: each factor's denominators are cleared
+    first and the product divided by their lcms at the end."""
     _check_vars(p, q)
     pairs = len(p.terms) * len(q.terms)
     if pairs > MUL_TERM_PAIR_CAP:
         raise ComplexityLimit(f"a product of {pairs} term pairs exceeds the cap of {MUL_TERM_PAIR_CAP}")
+    _charge_slots(pairs * p.nvars)
+    dp, left = _cleared(p)
+    dq, right = _cleared(q)
     acc = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = acc.get(e, 0) + c1 * c2
-            if s == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-    return _trusted(p.var_names, acc)
+    get = acc.get
+    for e1, c1 in left:
+        for e2, c2 in right:
+            e = tuple(map(_add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+    den = dp * dq
+    if den == 1:
+        return _trusted(p.var_names, {e: c for e, c in acc.items() if c})
+    return _trusted(p.var_names, {e: rational(Fraction(c, den)) for e, c in acc.items() if c})
 
 
 def pow(p, k):
@@ -157,13 +196,13 @@ def pow(p, k):
     k = int(k)
     if k < 0 and len(p.terms) != 1:
         raise NotLaurent(f"negative power of a non-monomial: ({format(p)})^{k}")
-    common = math.lcm(*(c.denominator for c in p.terms.values()))
-    height = max(common, sum(abs(c.numerator) * (common // c.denominator) for c in p.terms.values()))
+    common, cleared = _cleared(p)
+    height = max(common, sum(abs(c) for _e, c in cleared))
     if abs(k) * (height - 1).bit_length() > POW_COEFFICIENT_BITS_CAP:
         raise ComplexityLimit(f"a power ^{k} may need coefficients over {POW_COEFFICIENT_BITS_CAP} bits")
     if len(p.terms) == 1:
         ((e, c),) = p.terms.items()
-        return _trusted(p.var_names, {tuple(k * x for x in e): c**k})
+        return _trusted(p.var_names, {tuple(k * x for x in e): rational_power(c, k)})
     result = one(p.var_names)
     base = p
     while k:
@@ -190,6 +229,8 @@ def exact_divide(p, q):
     per-coordinate minimum exponent 0; those minima are additive under
     multiplication, which makes the normalization lossless.  Then plain
     multivariate division in lexicographic order must leave remainder 0.
+    Each quotient term charges the divisor's terms times the variables
+    against PRODUCT_SLOT_CAP before it is multiplied out.
     """
     _check_vars(p, q)
     if q.is_zero():
@@ -198,27 +239,31 @@ def exact_divide(p, q):
         return zero(p.var_names)
     mp = tuple(map(min, zip(*p.terms)))
     mq = tuple(map(min, zip(*q.terms)))
-    dividend = {tuple(a - b for a, b in zip(e, mp)): c for e, c in p.terms.items()}
-    divisor = {tuple(a - b for a, b in zip(e, mq)): c for e, c in q.terms.items()}
+    dividend = {tuple(map(_sub, e, mp)): c for e, c in p.terms.items()}
+    divisor = {tuple(map(_sub, e, mq)): c for e, c in q.terms.items()}
     lead_q = max(divisor)
     lead_coeff = divisor[lead_q]
+    step = len(divisor) * p.nvars
+    slots = 0
     quotient = {}
     while dividend:
         lead_p = max(dividend)
-        e = tuple(a - b for a, b in zip(lead_p, lead_q))
+        e = tuple(map(_sub, lead_p, lead_q))
         if any(x < 0 for x in e):
             raise NotDivisible(f"({format(p)}) is not divisible by ({format(q)})")
-        c = dividend[lead_p] / lead_coeff
+        slots += step
+        _charge_slots(slots)
+        c = _quotient(dividend[lead_p], lead_coeff)
         quotient[e] = c
         for eq, cq in divisor.items():
-            key = tuple(a + b for a, b in zip(e, eq))
+            key = tuple(map(_add, e, eq))
             s = dividend.get(key, 0) - c * cq
             if s == 0:
                 dividend.pop(key, None)
             else:
                 dividend[key] = s
-    offset = tuple(a - b for a, b in zip(mp, mq))
-    return _trusted(p.var_names, {tuple(a + b for a, b in zip(e, offset)): c for e, c in quotient.items()})
+    offset = tuple(map(_sub, mp, mq))
+    return _trusted(p.var_names, {tuple(map(_add, e, offset)): c for e, c in quotient.items()})
 
 
 def monomial_substitute(p, matrix, shift=None, scales=None):
@@ -238,27 +283,28 @@ def monomial_substitute(p, matrix, shift=None, scales=None):
     if len(shift) != n:
         raise DimensionMismatch("shift length mismatch")
     if scales is None:
-        scales = (Fraction(1),) * n
-    scales = tuple(Fraction(s) for s in scales)
+        scales = (1,) * n
+    scales = tuple(rational(s) for s in scales)
     if len(scales) != n:
         raise DimensionMismatch("scales length mismatch")
     if any(s == 0 for s in scales):
         raise ValueError("scales must be nonzero")
     if n and abs(intlinalg.det(A)) != 1:
         raise NotUnimodular(f"matrix determinant is {intlinalg.det(A)}")
+    scaled = [(j, s) for j, s in enumerate(scales) if s != 1]
     out = {}
     for e, c in p.terms.items():
-        ne = tuple(x + s for x, s in zip(intlinalg.mat_vec(A, e), shift))
-        nc = c
-        for s, k in zip(scales, e):
-            nc *= s**k
-        out[ne] = nc
+        ne = tuple(map(_add, intlinalg.mat_vec(A, e), shift))
+        for j, s in scaled:
+            if e[j]:
+                c = rational(c * rational_power(s, e[j]))
+        out[ne] = c
     return _trusted(p.var_names, out)
 
 
 # --- parsing ---------------------------------------------------------------
 
-# each parenthesis level costs four parser frames; this stays well inside
+# each parenthesis level costs two parser frames; this stays well inside
 # Python's default recursion limit
 MAX_PAREN_DEPTH = 100
 # int() reads, and str() prints, no longer decimal integers by default
@@ -310,60 +356,95 @@ class _Parser:
         if negative:
             self.take()
         while True:
-            for e, c in self.parse_term().terms.items():
+            for e, c in self.parse_term():
                 s = acc.get(e, 0) + (-c if negative else c)
                 if s == 0:
                     acc.pop(e, None)
                 else:
-                    acc[e] = s
+                    acc[e] = rational(s)
             if self.peek()[0] not in "+-":
                 return _trusted(self.var_names, acc)
             negative = self.take()[0] == "-"
 
     def parse_term(self):
-        result = self.parse_factor()
-        while self.peek()[0] in "*/":
-            op = self.take()
-            rhs = self.parse_factor()
-            if op[0] == "*":
-                result = mul(result, rhs)
+        """The term's (exponent, coefficient) pairs.
+
+        Numbers and variables multiply into one pair, coeff * x^exponent.  A
+        parenthesis with two or more terms makes a polynomial, poly, which
+        takes the pair in when the term ends or divides by such a
+        parenthesis; a one-term parenthesis joins the pair.  A zero term
+        (coeff 0) multiplies nothing more in, as 0 * (...) does, but still
+        evaluates its factors."""
+        n = len(self.var_names)
+        coeff, exponent, poly = 1, [0] * n, None
+        divide = False
+        while True:
+            kind, value, pos = self.take()
+            if kind == "int":
+                c = int(value)
+                if self.peek()[0] == "^":
+                    # a power of a literal in no variables: pow's checks and caps, nothing else
+                    c = pow(_trusted((), {(): c} if c else {}), self.parse_power()).terms.get((), 0)
+                if not divide:
+                    coeff = rational(coeff * c)
+                elif c == 0:
+                    raise DivisionByZero("division by the zero polynomial")
+                else:
+                    coeff = _quotient(coeff, c)
+            elif kind == "ident":
+                k = self.parse_power() if self.peek()[0] == "^" else 1
+                exponent[self.var_index[value]] += -k if divide else k
+            elif kind == "(":
+                if self.depth == MAX_PAREN_DEPTH:
+                    raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", pos)
+                self.depth += 1
+                factor = self.parse_expr()
+                self.depth -= 1
+                self.take(")")
+                if self.peek()[0] == "^":
+                    factor = pow(factor, self.parse_power())
+                if len(factor.terms) == 1:
+                    ((e, c),) = factor.terms.items()
+                    if divide:
+                        coeff, exponent = _quotient(coeff, c), list(map(_sub, exponent, e))
+                    else:
+                        coeff, exponent = rational(coeff * c), list(map(_add, exponent, e))
+                elif divide:
+                    if not factor.terms:
+                        raise DivisionByZero("division by the zero polynomial")
+                    if coeff:
+                        try:
+                            poly = exact_divide(self.term_poly(coeff, exponent, poly), factor)
+                        except NotDivisible as exc:
+                            raise NotLaurent(str(exc)) from exc
+                        coeff, exponent = 1, [0] * n
+                elif not factor.terms:
+                    coeff = 0
+                elif coeff:
+                    poly = factor if poly is None else mul(poly, factor)
             else:
-                try:
-                    result = exact_divide(result, rhs)
-                except NotDivisible as exc:
-                    raise NotLaurent(str(exc)) from exc
-        return result
+                raise ParseError(f"expected a number, variable, or '(', found {value or 'end of input'!r}", pos)
+            if self.peek()[0] not in "*/":
+                break
+            divide = self.take()[0] == "/"
+        if poly is None or not coeff:
+            return ((tuple(exponent), coeff),) if coeff else ()
+        return self.term_poly(coeff, exponent, poly).terms.items()
 
-    def parse_factor(self):
-        base = self.parse_base()
-        if self.peek()[0] == "^":
-            self.take()
-            sign = 1
-            if self.peek()[0] in "+-":
-                sign = -1 if self.take()[0] == "-" else 1
-            tok = self.take("int")
-            k = sign * int(tok[1])
-            base = pow(base, k)
-        return base
+    def term_poly(self, coeff, exponent, poly):
+        """poly * coeff * x^exponent as a polynomial, coeff nonzero."""
+        if poly is not None and coeff == 1 and not any(exponent):
+            return poly
+        mono = _trusted(self.var_names, {tuple(exponent): coeff})
+        return mono if poly is None else mul(poly, mono)
 
-    def parse_base(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.take()
-            return constant(self.var_names, int(tok[1]))
-        if tok[0] == "ident":
-            self.take()
-            return variable(self.var_names, self.var_index[tok[1]])
-        if tok[0] == "(":
-            if self.depth == MAX_PAREN_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok[2])
-            self.take()
-            self.depth += 1
-            inner = self.parse_expr()
-            self.depth -= 1
-            self.take(")")
-            return inner
-        raise ParseError(f"expected a number, variable, or '(', found {tok[1] or 'end of input'!r}", tok[2])
+    def parse_power(self):
+        """The signed integer after a '^', which the caller has seen."""
+        self.take()
+        sign = 1
+        if self.peek()[0] in "+-":
+            sign = -1 if self.take()[0] == "-" else 1
+        return sign * int(self.take("int")[1])
 
 
 def parse(text, var_names=None):

@@ -161,7 +161,7 @@ def _match_factors(target, summands):
         raise ComplexityLimit("more than %d lattice point choices in a face factorization" % MATCH_COMBINATION_CAP)
     verts = [set(Q.vertices) for Q in summands]
     coeffs = [
-        {tuple(p): (Fraction(1) if tuple(p) in verts[i] else None) for p in points[i]}
+        {tuple(p): (1 if tuple(p) in verts[i] else None) for p in points[i]}
         for i in range(len(summands))
     ]
     by_total = {}
@@ -177,15 +177,12 @@ def _match_factors(target, summands):
         progress = False
         for total in sorted(by_total):
             wanted = laurent.coefficient_at(target, total)
-            known_sum = Fraction(0)
+            known_sum = 0
             open_terms = []
             for combo in by_total[total]:
                 slots = [(i, p) for i, p in enumerate(combo) if coeffs[i][p] is None]
                 if not slots:
-                    prod = Fraction(1)
-                    for i, p in enumerate(combo):
-                        prod *= coeffs[i][p]
-                    known_sum += prod
+                    known_sum += math.prod(coeffs[i][p] for i, p in enumerate(combo))
                 else:
                     open_terms.append((combo, slots))
             if not open_terms:
@@ -194,13 +191,10 @@ def _match_factors(target, summands):
                 continue
             if len(open_terms) == 1 and len(open_terms[0][1]) == 1:
                 combo, ((i_star, p_star),) = open_terms[0]
-                cofactor = Fraction(1)
-                for i, p in enumerate(combo):
-                    if (i, p) != (i_star, p_star):
-                        cofactor *= coeffs[i][p]
+                cofactor = math.prod(coeffs[i][p] for i, p in enumerate(combo) if (i, p) != (i_star, p_star))
                 if cofactor == 0:
                     continue
-                coeffs[i_star][p_star] = (wanted - known_sum) / cofactor
+                coeffs[i_star][p_star] = intlinalg.rational(Fraction(wanted - known_sum, cofactor))
                 unknown_count -= 1
                 progress = True
         if unknown_count == 0:
@@ -208,12 +202,7 @@ def _match_factors(target, summands):
         if not progress:
             return None
     for total in by_total:
-        value = Fraction(0)
-        for combo in by_total[total]:
-            prod = Fraction(1)
-            for i, p in enumerate(combo):
-                prod *= coeffs[i][p]
-            value += prod
+        value = sum(math.prod(coeffs[i][p] for i, p in enumerate(combo)) for combo in by_total[total])
         if value != laurent.coefficient_at(target, total):
             return None
     return [

@@ -7,6 +7,7 @@ exponent k, the transformed polynomial is the sum of slice_k * factor^(-sign*k)
 * pivot^k; divisions must be exact or the result is not Laurent.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,9 +51,7 @@ class ToricChange:
         if len(shift) != n:
             raise InvalidChange("shift has wrong length")
         object.__setattr__(self, "shift", shift)
-        scale = tuple(
-            Fraction(x) for x in (self.scale if self.scale is not None else (1,) * n)
-        )
+        scale = tuple(intlinalg.rational(x) for x in (self.scale if self.scale is not None else (1,) * n))
         if len(scale) != n or any(s == 0 for s in scale):
             raise InvalidChange("scale needs one nonzero rational per variable")
         object.__setattr__(self, "scale", scale)
@@ -141,7 +140,7 @@ def _solve_scales(f, g, A, t):
     for target in sorted(image):
         e, c = image[target]
         exponents.append(list(e))
-        ratios.append(g.terms[target] / c)
+        ratios.append(Fraction(g.terms[target], c))
     rows = intlinalg.pivot_columns(intlinalg.transpose(exponents))
     k = len(rows)
     B = [exponents[i] for i in rows]
@@ -150,7 +149,7 @@ def _solve_scales(f, g, A, t):
     D = abs(intlinalg.det(H))
     z = []
     for row in intlinalg.matrix_inverse(H):
-        power = _product(abs(ratios[i]) ** int(D * x) for i, x in zip(rows, row) if x)
+        power = math.prod(abs(ratios[i]) ** int(D * x) for i, x in zip(rows, row) if x)
         root = intlinalg.nth_root_fraction(power, int(D))
         if root is None:
             return None
@@ -170,24 +169,17 @@ def _solve_scales(f, g, A, t):
     for b in reversed(basis):
         if (b & (signs | 1 << n)).bit_count() % 2:
             signs |= b & -b
-    magnitudes = [_product(x ** u[j] for x, u in zip(z, frame) if u[j]) for j in range(n)]
-    scales = tuple(-x if signs >> j & 1 else x for j, x in enumerate(magnitudes))
+    magnitudes = [math.prod(intlinalg.rational_power(x, u[j]) for x, u in zip(z, frame) if u[j]) for j in range(n)]
+    scales = tuple(intlinalg.rational(-x if signs >> j & 1 else x) for j, x in enumerate(magnitudes))
     for e, c in f.terms.items():
         target = tuple(sum(A[i][j] * e[j] for j in range(n)) + t[i] for i in range(n))
         value = c
         for j in range(n):
             if e[j]:
-                value *= scales[j] ** e[j]
+                value *= intlinalg.rational_power(scales[j], e[j])
         if g.terms[target] != value:
             return None
     return scales
-
-
-def _product(items):
-    out = Fraction(1)
-    for x in items:
-        out *= x
-    return out
 
 
 def equivalent_up_to_toric(f, g):

@@ -688,7 +688,7 @@ def polytope_to_json(P):
 
 
 def polytope_from_json(data):
-    verts = [tuple(Fraction(x) for x in v) for v in data["vertices"]]
+    verts = [tuple(intlinalg.rational(x) for x in v) for v in data["vertices"]]
     if not verts:
         raise EmptyInput("no vertices in JSON polytope")
     if any(len(v) != data["dim"] for v in verts):

@@ -6,6 +6,7 @@ shapes, and exit codes at the same time.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -500,6 +501,21 @@ def test_catalog_all_examples(capsys):
     }
     for entry in doc["payload"]["examples"].values():
         assert entry["ok"] is True
+
+
+# sha256 of stdout, pinned from a run of the all-Fraction coefficient code:
+# int coefficients must leave every byte of these documents as it was
+GOLDEN_STDOUT = [
+    (["catalog", "--all"], "93f40f3dec53a6911bd898cb5b539045948569bf7c98c4a3be0076ce393864cd"),
+    (["p2-chain", "--depth", "6"], "afa6849153994ff0f3769e1abcffaa4face15414b9e8ce6683b82f1b51bb711f"),
+    (["markov", "--depth", "6"], "9acea5d5769811e20953117d12e3f8ed975b428a75f306eb6e3d034d38dff806"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT)
+def test_stdout_matches_the_pinned_digest(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

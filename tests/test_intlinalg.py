@@ -156,6 +156,18 @@ def test_nth_roots():
     assert la.nth_root_fraction(Fraction(2), 2) is None
     assert la.nth_root_fraction(Fraction(-4), 2) is None
     assert la.nth_root_fraction(Fraction(4), 2) == 2
+    # an integral root is an int, any other a Fraction
+    assert type(la.nth_root_fraction(Fraction(-8), 3)) is int
+    assert type(la.nth_root_fraction(Fraction(8, 27), 3)) is Fraction
+
+
+def test_rational_reads_exactly_and_is_int_when_integral():
+    for x, want in [(3, 3), (Fraction(6, 3), 2), ("4/2", 2), (2.0, 2), (True, 1), ("-1/2", Fraction(-1, 2)), (0.5, Fraction(1, 2))]:
+        got = la.rational(x)
+        assert got == want and type(got) is type(want)
+    for x, k, want in [(2, -1, Fraction(1, 2)), (Fraction(1, 2), -2, 4), (-1, -3, -1), (Fraction(2, 3), 2, Fraction(4, 9)), (3, 0, 1)]:
+        got = la.rational_power(x, k)
+        assert got == want and type(got) is type(want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_EXPRESSIONS, VAR_POOL, poly_strategy, random_poly
@@ -230,6 +231,35 @@ def test_exponent_slot_cap(monkeypatch):
         laurent.parse("x + 1", ("x", "y", "z"))
 
 
+def test_product_slot_cap(monkeypatch):
+    # (x+y)*(x-y): 2 * 2 term pairs in 2 variables, 8 slots; dividing
+    # x^2 - y^2 by x + y: 2 quotient terms, each 2 divisor terms in 2 variables
+    monkeypatch.setattr(laurent, "PRODUCT_SLOT_CAP", 8)
+    assert laurent.parse("(x+y)*(x-y)").terms == {(2, 0): 1, (0, 2): -1}
+    assert laurent.parse("(x^2-y^2)/(x+y)").terms == {(1, 0): 1, (0, 1): -1}
+    # squaring x + y + 1 multiplies 3 * 3 term pairs
+    monkeypatch.setattr(laurent, "PRODUCT_SLOT_CAP", 18)
+    assert len(laurent.pow(laurent.parse("x+y+1"), 2).terms) == 6
+    monkeypatch.setattr(laurent, "PRODUCT_SLOT_CAP", 17)
+    with pytest.raises(ComplexityLimit, match="a product needs 18 exponent slots"):
+        laurent.pow(laurent.parse("x+y+1"), 2)
+    monkeypatch.setattr(laurent, "PRODUCT_SLOT_CAP", 7)
+    with pytest.raises(ComplexityLimit, match="a product needs 8 exponent slots"):
+        laurent.parse("(x+y)*(x-y)")
+    x2_y2 = laurent.parse("x^2-y^2")
+    with pytest.raises(ComplexityLimit, match="a product needs 8 exponent slots"):
+        laurent.exact_divide(x2_y2, laurent.parse("x+y", x2_y2.var_names))
+
+
+def test_square_of_a_thousand_variable_sum_is_refused_at_once():
+    # 10^6 term pairs pass MUL_TERM_PAIR_CAP, but 10^9 slots would take gigabytes
+    text = "(" + "+".join("x%d" % i for i in range(1000)) + ")^2"
+    start = time.perf_counter()
+    with pytest.raises(ComplexityLimit, match="a product needs 1000000000 exponent slots"):
+        laurent.parse(text)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_power_coefficient_cap():
     # 3^8000 has 3,818 digits, but the bound 2 bits per factor passes the cap
     with pytest.raises(ComplexityLimit):
@@ -393,11 +423,16 @@ def _expressions():
     """Well-formed expressions, divisions and negative powers included; a
     division may still leave the Laurent ring, which both parsers report."""
     space = st.sampled_from(["", " ", "  "])
-    base = st.one_of(st.integers(0, 12).map(str), _NAMES)
+    literal = st.integers(0, 12).map(str)
+    # signed powers of literals, 0^-1 among them
+    power = st.tuples(literal, st.sampled_from(["", "-", "+"]), st.integers(0, 3)).map(lambda t: "%s^%s%d" % t)
+    base = st.one_of(literal, _NAMES, power)
 
     def extend(inner):
         return st.one_of(
             st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), space, inner).map(lambda t: t[0] + t[2] + t[1] + t[2] + t[3]),
+            # a division by a literal or a literal's power, by 0 too
+            st.tuples(inner, space, st.one_of(literal, power)).map(lambda t: t[0] + t[1] + "/" + t[1] + t[2]),
             st.tuples(inner, st.sampled_from(["", "-", "+"]), st.integers(0, 3)).map(lambda t: "(%s)^%s%d" % t),
             inner.map(lambda t: "-" + t),
             inner.map(lambda t: "(" + t + ")"),
@@ -410,7 +445,10 @@ def _expressions():
 @given(_expressions(), st.booleans())
 def test_parse_matches_oracle_on_well_formed_expressions(text, bind):
     names = ("x", "y", "z", "_w", "x1", "\u00e9") if bind else None
-    assert _outcome(laurent.parse, text, names) == _outcome(_oracle_parse, text, names)
+    outcome = _outcome(laurent.parse, text, names)
+    assert outcome == _outcome(_oracle_parse, text, names)
+    if type(outcome[0]) is tuple:
+        _assert_clean(laurent.parse(text, names))
 
 
 @settings(max_examples=400, deadline=None)
@@ -421,12 +459,48 @@ def test_parse_matches_oracle_on_random_text(text):
     assert _outcome(laurent.parse, text, None) == _outcome(_oracle_parse, text, None)
 
 
+# errors the term path raises itself, before or instead of building a polynomial
+TERM_ERRORS = [
+    ("0^-1", ("NotLaurent", "negative power of a non-monomial: (0)^-1", None)),
+    ("x/(1+x)", ("NotLaurent", "(x) is not divisible by (x + 1)", None)),
+    ("1/(1-y)", ("NotLaurent", "(1) is not divisible by (-y + 1)", None)),
+    ("2*x*(1+x)/(1+y)", ("NotLaurent", "(2*x^2 + 2*x) is not divisible by (y + 1)", None)),
+    ("x/0", ("DivisionByZero", "division by the zero polynomial", None)),
+    ("0/(x-x)", ("DivisionByZero", "division by the zero polynomial", None)),
+    ("x/0^2", ("DivisionByZero", "division by the zero polynomial", None)),
+    ("3^999999999*x+1", ("ComplexityLimit", "a power ^999999999 may need coefficients over 14000 bits", None)),
+    ("x*2^", ("ParseError", "expected int, found 'end of input' (at position 4)", 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("x/2 + x/2 + 1/3 + 2/3", {(1,): 1, (0,): 1}),
+        ("2^-1*2*x*(1+y)", {(1, 0): 1, (1, 1): 1}),
+        ("(x/2 + 1/2)*(2*x + 2) - x^2/3", {(2,): Fraction(2, 3), (1,): 2, (0,): 1}),
+        ("6/(2)^2*x/(3*x)", {(0,): Fraction(1, 2)}),
+    ],
+)
+def test_parsed_coefficients_are_int_exactly_when_integral(text, terms):
+    p = laurent.parse(text)
+    assert p.terms == terms
+    _assert_clean(p)
+
+
+@pytest.mark.parametrize("text, outcome", TERM_ERRORS)
+def test_term_errors_match_the_oracle(text, outcome):
+    assert _outcome(laurent.parse, text, None) == outcome == _outcome(_oracle_parse, text, None)
+
+
 def _assert_clean(r):
     assert r == laurent.LaurentPoly(r.var_names, dict(r.terms))
     assert type(r.var_names) is tuple
     for e, c in r.terms.items():
         assert type(e) is tuple and len(e) == r.nvars and all(type(x) is int for x in e)
-        assert type(c) is Fraction and c != 0
+        assert c != 0
+        # an int exactly when integral, else a Fraction; never a float
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,3 +530,116 @@ def test_package_built_results_are_clean(p, q, c, k, shift):
         results.append(mutation.apply_cluster(shifted, mutation.ClusterChange(1, -1, factor)))
     for r in results:
         _assert_clean(r)
+
+
+# --- the all-Fraction product loop, kept as the reference for int coefficients
+
+def _fraction_mul(p, q):
+    """The terms of p * q by the product loop of all-Fraction coefficients."""
+    acc = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = acc.get(e, 0) + Fraction(c1) * Fraction(c2)
+            if s == 0:
+                acc.pop(e, None)
+            else:
+                acc[e] = s
+    return acc
+
+
+def _fraction_pow(p, k):
+    if k < 0:
+        ((e, c),) = p.terms.items()
+        return {tuple(k * x for x in e): Fraction(c) ** k}
+    acc = {(0,) * p.nvars: Fraction(1)}
+    for _ in range(k):
+        acc = _fraction_mul(laurent.LaurentPoly(p.var_names, acc), p)
+    return acc
+
+
+def _fraction_substitute(p, A, shift, scales):
+    out = {}
+    for e, c in p.terms.items():
+        value = Fraction(c)
+        for s, k in zip(scales, e):
+            value *= Fraction(s) ** k
+        out[tuple(sum(a * x for a, x in zip(row, e)) + t for row, t in zip(A, shift))] = value
+    return out
+
+
+def _fraction_cluster_image(f, factor):
+    """f with y -> y * factor, every y exponent of f nonnegative: the sum
+    of slice_k * factor^k * y^k."""
+    acc = {}
+    for e, c in f.terms.items():
+        slice_k = laurent.LaurentPoly(f.var_names, {(e[0], 0): c})
+        for e2, c2 in _fraction_mul(slice_k, laurent.LaurentPoly(f.var_names, _fraction_pow(factor, e[1]))).items():
+            key = (e2[0], e[1])
+            acc[key] = acc.get(key, 0) + c2
+    return {e: c for e, c in acc.items() if c}
+
+
+_MIXED_COEFFS = st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=6)).filter(bool)
+_EXPONENTS2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _mixed_polys(min_size=0):
+    """Polynomials in x, y with int and Fraction coefficients."""
+    terms = st.dictionaries(_EXPONENTS2, _MIXED_COEFFS, min_size=min_size, max_size=5)
+    return terms.map(lambda d: laurent.LaurentPoly(("x", "y"), d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _mixed_polys(),
+    _mixed_polys(min_size=1),
+    st.integers(-3, 4),
+    st.tuples(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]), st.sampled_from([1, 3, Fraction(-1, 3)])),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+)
+def test_int_coefficient_arithmetic_matches_the_fraction_reference(p, q, k, scales, shift):
+    product = laurent.mul(p, q)
+    assert product.terms == _fraction_mul(p, q)
+    assert laurent.exact_divide(laurent.LaurentPoly(p.var_names, _fraction_mul(p, q)), q) == p
+    results = [product, laurent.exact_divide(product, q)]
+    if k >= 0 or len(q.terms) == 1:
+        power = laurent.pow(q, k)
+        assert power.terms == _fraction_pow(q, k)
+        results.append(power)
+    A = [[1, 1], [0, 1]]
+    image = laurent.monomial_substitute(p, A, shift, scales)
+    assert image.terms == _fraction_substitute(p, A, shift, scales)
+    results.append(image)
+    # the cluster change y -> y * factor and back, factor free of y
+    factor = laurent.LaurentPoly(p.var_names, {(e[0], 0): c for e, c in q.terms.items()})
+    if not factor.is_zero():
+        low = min((e[1] for e in p.terms), default=0)
+        f = laurent.LaurentPoly(p.var_names, {(e[0], e[1] - min(low, 0)): c for e, c in p.terms.items()})
+        up = mutation.apply_cluster(f, mutation.ClusterChange(1, -1, factor))
+        assert up.terms == _fraction_cluster_image(f, factor)
+        down = mutation.apply_cluster(up, mutation.ClusterChange(1, 1, factor))
+        assert down == f
+        results += [up, down]
+    for r in results:
+        _assert_clean(r)
+
+
+@settings(max_examples=40, deadline=None)
+@example(f_terms={(1, 0): 2, (0, 1): 1, (-1, -1): 1}, shear=0, scales=(Fraction(1, 2), 1))
+@given(
+    st.dictionaries(_EXPONENTS2, st.integers(-4, 4).filter(bool), min_size=2, max_size=4),
+    st.integers(-1, 1),
+    st.tuples(*[st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 2), 3, Fraction(1, 3)])] * 2),
+)
+def test_equivalence_witness_scales_are_clean(f_terms, shear, scales):
+    # int coefficients whose ratios are such as 1/2 or 3: _solve_scales divides two ints
+    f = laurent.LaurentPoly(("x", "y"), f_terms)
+    A = [[1, shear], [0, 1]]
+    g = laurent.LaurentPoly(f.var_names, _fraction_substitute(f, A, (0, 0), scales))
+    witness = mutation.equivalent_up_to_toric(f, g)
+    assert witness is not None
+    assert mutation.apply_toric(f, witness) == g
+    for s in witness.scale:
+        assert type(s) is (int if Fraction(s).denominator == 1 else Fraction)
+    _assert_clean(g)

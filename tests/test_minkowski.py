@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -415,3 +416,19 @@ def test_presentation_json_roundtrip():
     assert minkowski.presentation_from_json_dict(data) == pres
     with pytest.raises(ShapeMismatch):
         minkowski.presentation_from_json_dict({"faces": [{"face": "nope"}]})
+
+
+def test_matched_factor_coefficients_are_int_exactly_when_integral():
+    # 1 + 3/2*x + x^2 on the segment [0, 2]: the midpoint solves to 3/2;
+    # (1 + x)*(1 + 2*x + x^2 + y) on a segment and a triangle: every coefficient an int
+    cases = [("1 + 3/2*x + x^2", [[(0, 0), (2, 0)]]), ("(1 + x)*(1 + 2*x + x^2 + y)", [[(0, 0), (1, 0)], [(0, 0), (2, 0), (0, 1)]])]
+    for text, summands in cases:
+        target = laurent.parse(text, ("x", "y"))
+        factors = minkowski._match_factors(target, [polytope.convex_hull(Q) for Q in summands])
+        assert factors is not None
+        product = factors[0]
+        for g in factors[1:]:
+            product = laurent.mul(product, g)
+        assert product == target
+        for g in factors:
+            assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in g.terms.values())

@@ -325,7 +325,7 @@ def _solve_scales_smith_oracle(f, g, A, t):
     for target in sorted(image):
         e, c = image[target]
         exponents.append(list(e))
-        ratios.append(g.terms[target] / c)
+        ratios.append(Fraction(g.terms[target]) / c)
     m = len(exponents)
     D, U, V = intlinalg.smith_normal_form(exponents)
     transformed = []
@@ -342,7 +342,7 @@ def _solve_scales_smith_oracle(f, g, A, t):
             root = intlinalg.nth_root_fraction(transformed[i], abs(d))
             if root is None:
                 return None
-            y[i] = root if d > 0 else Fraction(1) / root
+            y[i] = Fraction(root) if d > 0 else Fraction(1) / root
         elif transformed[i] != 1:
             return None
     scales = []

@@ -946,3 +946,38 @@ def test_polytope_json_roundtrip():
     R = pt.convex_hull([(Fraction(1, 2), 0), (1, 0), (0, 1)])
     data2 = pt.polytope_to_json(R)
     assert pt.polytope_from_json(data2) == R
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[-1, 2], [1, 2], [0, -1]],
+        [[-1, 1], [0, 1], [1, -1], [0, -1]],
+        # integral entries written as text or floats, and a point inside
+        [["-1", 2.0], ["1", "4/2"], [0, -1], [0, 1]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    ],
+)
+def test_polytope_from_json_reads_integral_entries_as_int(vertices, monkeypatch):
+    ints = [tuple(intlinalg.exact_int(x) for x in v) for v in vertices]
+    expected = pt.convex_hull(ints)
+    seen = []
+    build = pt.convex_hull
+
+    def spy(points):
+        seen.extend(points)
+        return build(points)
+
+    monkeypatch.setattr(pt, "convex_hull", spy)
+    P = pt.polytope_from_json({"dim": len(ints[0]), "vertices": vertices})
+    assert _typed(P) == _typed(expected)
+    assert P.dim_affine == expected.dim_affine
+    # the hull takes its all-int path
+    assert all(type(x) is int for v in seen for x in v)
+
+
+def test_polytope_from_json_keeps_fractional_entries():
+    data = {"dim": 2, "vertices": [["1/2", 0], [1, 0], [0, 1.5]]}
+    P = pt.polytope_from_json(data)
+    assert _typed(P) == _typed(pt.convex_hull([(Fraction(1, 2), 0), (1, 0), (0, Fraction(3, 2))]))
+    assert pt.polytope_to_json(P) == {"dim": 2, "vertices": [[0, "3/2"], ["1/2", 0], [1, 0]]}
